@@ -38,8 +38,8 @@ from .grammar import (
     infer_variables,
     parse_poly,
 )
-from .ideals import BudgetExceededError, Ideal, MonomialOrder, normal_form, reduced_groebner
-from .ring import Monomial, Polynomial, RingContext, grevlex_key, lex_key
+from .ideals import BudgetExceededError, Ideal, normal_form, reduced_groebner
+from .ring import Monomial, Polynomial, RingContext, grevlex_key
 from .testideals import (
     Jump,
     JumpReport,

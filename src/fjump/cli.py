@@ -1,13 +1,16 @@
 """Command-line front end: the ``fjump`` tool.
 
 Exit codes: 0 success, 2 usage error, 3 polynomial or rational parse
-error, 4 computation budget exceeded, 5 verification failure.
+error, 4 computation budget exceeded, 5 verification failure. A reader
+that closes standard output early is not an error: the run ends with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -332,7 +335,9 @@ def main(argv=None) -> int:
         print("fjump: give --class exactly twice", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return code
     except _CliError as err:
         print(f"fjump: {err}", file=sys.stderr)
         return err.code
@@ -342,6 +347,15 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"fjump: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered stays quiet
+        with contextlib.suppress(AttributeError, OSError):
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        return EXIT_OK
     except (ValueError, OSError) as err:
         print(f"fjump: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .ring import Monomial, Polynomial, RingContext, grevlex_key
+from .ring import Monomial, Polynomial, RingContext
 
 MAX_EXPONENT = 1 << 62
 
@@ -190,7 +190,7 @@ def format_poly(f: Polynomial) -> str:
     sep = "" if all(len(v) == 1 for v in f.ctx.vars) else "*"
     parts = [
         _format_term(f.ctx, mono, coeff, sep)
-        for mono, coeff in f.sorted_terms(grevlex_key, reverse=True)
+        for mono, coeff in f.sorted_terms()
     ]
     return " + ".join(parts)
 

@@ -1,34 +1,27 @@
 """Ideal arithmetic in F_p[x_1..x_n].
 
 Ideals carry a generator list and a lazily computed, cached reduced
-Groebner basis under grevlex; every predicate (membership, containment,
-equality) routes through that canonical basis. Buchberger's algorithm is
-used with the coprimality and chain criteria and the normal selection
-strategy, which keeps runs deterministic.
+Groebner basis under grevlex, the only monomial order; every predicate
+(membership, containment, equality) routes through that canonical basis.
+Most inputs are all-monomial, and their reduced basis is just the minimal
+monomial generators, so those are found first and the other generators
+are reduced by them. Buchberger's algorithm runs only on what remains,
+with the Gebauer-Moeller pair updates and the normal selection strategy,
+which keeps runs deterministic.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 
 from .grammar import format_poly
-from .ring import Monomial, Polynomial, RingContext, grevlex_key, lex_key
+from .ring import Monomial, Polynomial, RingContext, grevlex_key
 
 BUCHBERGER_PAIR_BUDGET = 200_000
 
 
 class BudgetExceededError(RuntimeError):
     """A configured computation budget was exhausted before completion."""
-
-
-class MonomialOrder(enum.Enum):
-    GREVLEX = "grevlex"
-    LEX = "lex"
-
-    @property
-    def key(self):
-        return grevlex_key if self is MonomialOrder.GREVLEX else lex_key
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -43,17 +36,11 @@ def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _make_monic(f: Polynomial, key) -> Polynomial:
-    lc = f.terms[f.leading_monomial(key)]
-    if lc == 1:
-        return f
-    inv = pow(lc, -1, f.ctx.p)
-    return Polynomial(
-        f.ctx, {m: (c * inv) % f.ctx.p for m, c in f.terms.items()}, _canonical=True
-    )
+def _coprime(a: Monomial, b: Monomial) -> bool:
+    return not any(x and y for x, y in zip(a, b))
 
 
-def normal_form(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of multivariate division of f by ``basis``.
 
     The basis polynomials must be nonzero; they need not be monic or a
@@ -62,7 +49,7 @@ def normal_form(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
     if f.is_zero() or not basis:
         return f
     p = f.ctx.p
-    prepared = [(g.leading_monomial(key), g) for g in basis]
+    prepared = [(g.leading_monomial(), g) for g in basis]
 
     if all(len(g.terms) == 1 for _, g in prepared):
         # pure monomial basis: reduction just drops divisible terms
@@ -75,7 +62,7 @@ def normal_form(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
     work = dict(f.terms)
     remainder: dict[Monomial, int] = {}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=grevlex_key)
         c = work.pop(m)
         for lt, g in prepared:
             if _divides(lt, m):
@@ -96,95 +83,92 @@ def normal_form(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
     return Polynomial(f.ctx, remainder, _canonical=True)
 
 
-def _s_poly(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    lf, lg = f.leading_monomial(key), g.leading_monomial(key)
+def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The S-polynomial of two monic polynomials."""
+    lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = _mono_lcm(lf, lg)
-    p = f.ctx.p
-    cf = pow(f.terms[lf], -1, p)
-    cg = pow(g.terms[lg], -1, p)
-    return f.scale_term(_mono_sub(lcm, lf), cf) - g.scale_term(_mono_sub(lcm, lg), cg)
+    return f.scale_term(_mono_sub(lcm, lf)) - g.scale_term(_mono_sub(lcm, lg))
+
+
+def _gm_update(lts: list[Monomial], active: list[int], pairs: list, h: int):
+    """Add basis element ``h`` to ``active`` and its pairs to the heap
+    ``pairs``, pruning both with the Gebauer-Moeller criteria. Pairs already
+    queued with an element that leaves ``active`` stay in the queue."""
+    th = lts[h]
+    fresh = [(_mono_lcm(lts[g], th), g) for g in active]
+    kept: list = []
+    for n, (lcm, g) in enumerate(fresh):
+        if _coprime(lts[g], th) or not any(
+            _divides(other, lcm) for other, _ in fresh[n + 1 :] + kept
+        ):
+            kept.append((lcm, g))
+    pairs[:] = [
+        pair
+        for pair in pairs
+        if not _divides(th, pair[3])
+        or _mono_lcm(lts[pair[1]], th) == pair[3]
+        or _mono_lcm(lts[pair[2]], th) == pair[3]
+    ]
+    pairs.extend(
+        (grevlex_key(lcm), g, h, lcm) for lcm, g in kept if not _coprime(lts[g], th)
+    )
+    heapq.heapify(pairs)
+    active[:] = [g for g in active if not _divides(th, lts[g])] + [h]
 
 
 def reduced_groebner(
-    generators, ctx: RingContext, key=grevlex_key, pair_budget: int = BUCHBERGER_PAIR_BUDGET
+    generators, ctx: RingContext, pair_budget: int = BUCHBERGER_PAIR_BUDGET
 ) -> tuple[Polynomial, ...]:
-    """The unique reduced Groebner basis of <generators> under ``key``."""
-    basis = [g for g in generators if not g.is_zero()]
-    if not basis:
-        return ()
-    if any(g.is_constant() for g in basis):
-        return (Polynomial.one(ctx),)
+    """The unique reduced Groebner basis of <generators> under grevlex.
+
+    ``pair_budget`` bounds the number of S-pairs taken from the queue.
+    """
+    gens = list(dict.fromkeys(g for g in generators if not g.is_zero()))
+    # minimal monomial generators (a constant included): a proper divisor
+    # sorts before its multiples
+    lts: list[Monomial] = []
+    monomials = {m for g in gens if len(g.terms) == 1 for m in g.terms}
+    for m in sorted(monomials, key=grevlex_key):
+        if not any(_divides(k, m) for k in lts):
+            lts.append(m)
+    basis = [Polynomial(ctx, {m: 1}, _canonical=True) for m in lts]
+    todo = [normal_form(g, basis) for g in gens if len(g.terms) > 1]
+    todo = [g for g in todo if not g.is_zero()]
+    if not todo:
+        return tuple(basis)
     # deterministic seed order
-    basis.sort(key=lambda g: sorted(map(key, g.terms)))
-    basis = [_make_monic(g, key) for g in basis]
+    todo.sort(key=lambda g: sorted(map(grevlex_key, g.terms), reverse=True))
 
-    lts = [g.leading_monomial(key) for g in basis]
-    heap: list = []
-    done: set[tuple[int, int]] = set()
-
-    def push_pair(i: int, j: int):
-        lcm = _mono_lcm(lts[i], lts[j])
-        heapq.heappush(heap, (sum(lcm), key(lcm), i, j))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
-
+    active: list[int] = []
+    pairs: list = []
+    for h in range(len(basis)):
+        _gm_update(lts, active, pairs, h)
     steps = 0
-    while heap:
+    while True:
+        for s in todo:
+            s = normal_form(s, [basis[k] for k in active])
+            if s.is_zero():
+                continue
+            if s.is_constant():
+                return (Polynomial.one(ctx),)
+            lts.append(s.leading_monomial())
+            monic = s.scale_term((0,) * ctx.nvars, pow(s.terms[lts[-1]], -1, ctx.p))
+            basis.append(monic)
+            _gm_update(lts, active, pairs, len(basis) - 1)
+        if not pairs:
+            break
         steps += 1
         if steps > pair_budget:
-            raise BudgetExceededError(
-                f"Groebner pair budget of {pair_budget} exhausted"
-            )
-        _, _, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        li, lj = lts[i], lts[j]
-        lcm = _mono_lcm(li, lj)
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
-            continue  # coprime leading terms
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lts[k], lcm):
-                continue
-            a, b = min(i, k), max(i, k)
-            c, d = min(j, k), max(j, k)
-            if (a, b) in done and (c, d) in done:
-                chained = True
-                break
-        if chained:
-            continue
-        s = normal_form(_s_poly(basis[i], basis[j], key), basis, key)
-        if s.is_zero():
-            continue
-        if s.is_constant():
-            return (Polynomial.one(ctx),)
-        s = _make_monic(s, key)
-        basis.append(s)
-        lts.append(s.leading_monomial(key))
-        new = len(basis) - 1
-        for i2 in range(new):
-            push_pair(i2, new)
+            raise BudgetExceededError(f"Groebner pair budget of {pair_budget} exhausted")
+        _, i, j, _ = heapq.heappop(pairs)
+        todo = [_s_poly(basis[i], basis[j])]
 
-    # minimalize: drop elements whose leading term another one divides
-    minimal: list[Polynomial] = []
-    for i, g in enumerate(basis):
-        lt = lts[i]
-        if any(
-            _divides(lts[j], lt) and (j < i or lts[j] != lt)
-            for j in range(len(basis))
-            if j != i
-        ):
-            continue
-        minimal.append(g)
-    # inter-reduce tails
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, key)
-        if not r.is_zero():
-            reduced.append(_make_monic(r, key))
-    reduced.sort(key=lambda g: key(g.leading_monomial(key)))
+    # the active leading terms divide no one another: reduce the tails
+    minimal = [basis[k] for k in active]
+    reduced = [
+        normal_form(g, minimal[:n] + minimal[n + 1 :]) for n, g in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
     return tuple(reduced)
 
 

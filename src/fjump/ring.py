@@ -1,4 +1,4 @@
-"""Ambient ring F_p[x_1..x_n]: ring context, sparse polynomials, term orders.
+"""Ambient ring F_p[x_1..x_n]: ring context, sparse polynomials, grevlex.
 
 Coefficients are plain ints in [0, p); monomials are exponent tuples of
 length n with unbounded non-negative entries. Polynomials are immutable
@@ -72,11 +72,6 @@ class RingContext:
 def grevlex_key(m: Monomial):
     """Sort key realizing graded reverse lexicographic order (ascending)."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def lex_key(m: Monomial):
-    """Sort key realizing lexicographic order with x_1 > x_2 > ... (ascending)."""
-    return m
 
 
 def _check_same_context(a: Polynomial, b: Polynomial):
@@ -296,14 +291,14 @@ class Polynomial:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def sorted_terms(self, key=grevlex_key, reverse: bool = True):
-        """Terms as a list of (monomial, coeff), leading term first by default."""
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """Terms as a list of (monomial, coeff), leading term first."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def leading_monomial(self, key=grevlex_key) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=key)
+        return max(self.terms, key=grevlex_key)
 
     def __str__(self):
         from .grammar import format_poly

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -23,6 +25,11 @@ class TestGoldenExamples:
     def test_tau(self, capsys):
         code, out, _ = run(capsys, "tau", "-p", "2", "-c", "1", "x")
         assert code == 0 and out == "x"
+
+    def test_tau_cusp_large_prime(self, capsys):
+        # one Frobenius root on the way has 1682 monomial generators
+        code, out, _ = run(capsys, "tau", "-p", "1009", "-c", "5/6", "x^2+y^3")
+        assert code == 0 and out == "x, y"
 
 
 class TestJsonOutput:
@@ -127,6 +134,15 @@ class TestExitCodes:
     def test_nilcmp_wrong_class_count(self, capsys):
         code, _, err = run(capsys, "nilcmp", "-p", "2", "--class", "1,1", "x")
         assert code == 2
+
+    def test_closed_stdout(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["jumps", "-p", "5", "-B", "3", "x^2+y^3"])
+        assert code == 0 and capsys.readouterr().err == ""
 
 
 class TestVerifyCommand:

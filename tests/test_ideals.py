@@ -5,9 +5,9 @@ import pytest
 from fjump import (
     BudgetExceededError,
     Ideal,
-    MonomialOrder,
     Polynomial,
     RingContext,
+    grevlex_key,
     normal_form,
     reduced_groebner,
 )
@@ -62,6 +62,98 @@ class TestReducedGroebner:
         gens = [poly(ctx, t) for t in ("x^2 - y", "x^3 - z", "y^3 + x*z")]
         with pytest.raises(BudgetExceededError):
             reduced_groebner(gens, ctx, pair_budget=1)
+
+
+def _textbook_groebner(gens, ctx):
+    """Reduced Groebner basis by plain Buchberger: every S-pair, no criteria."""
+    p = ctx.p
+
+    def lead(f):
+        m = max(f.terms, key=grevlex_key)
+        return m, f.terms[m]
+
+    def times(f, m, c):  # f * c * x^m
+        return Polynomial(ctx, {tuple(map(sum, zip(t, m))): a * c for t, a in f.terms.items()})
+
+    def reduce(f, G):
+        rest = Polynomial.zero(ctx)
+        while not f.is_zero():
+            m, c = lead(f)
+            hit = next(((g, lg) for g, lg in G if all(map(int.__le__, lg[0], m))), None)
+            if hit is None:
+                rest, f = rest + Polynomial(ctx, {m: c}), f - Polynomial(ctx, {m: c})
+            else:
+                (g, (gm, gc)) = hit
+                f = f - times(g, tuple(a - b for a, b in zip(m, gm)), c * pow(gc, -1, p))
+        return rest
+
+    def s_poly(f, g):
+        (mf, cf), (mg, cg) = lead(f), lead(g)
+        m = tuple(map(max, mf, mg))
+        shift = tuple(a - b for a, b in zip(m, mf)), tuple(a - b for a, b in zip(m, mg))
+        return times(f, shift[0], pow(cf, -1, p)) - times(g, shift[1], pow(cg, -1, p))
+
+    G = [(g, lead(g)) for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        # smallest lcm first: the order keeps the run short, it drops no pair
+        pairs.sort(key=lambda ij: grevlex_key(tuple(map(max, G[ij[0]][1][0], G[ij[1]][1][0]))))
+        i, j = pairs.pop(0)
+        s = reduce(s_poly(G[i][0], G[j][0]), G)
+        if not s.is_zero():
+            pairs.extend((k, len(G)) for k in range(len(G)))
+            G.append((s, lead(s)))
+    # keep one element per minimal leading monomial, then reduce the tails
+    minimal = []
+    for g, (m, _) in sorted(G, key=lambda gl: grevlex_key(gl[1][0])):
+        if not any(all(map(int.__le__, lh, m)) for _, (lh, _) in minimal):
+            minimal.append((g, lead(g)))
+    out = [reduce(g, minimal[:n] + minimal[n + 1 :]) for n, (g, _) in enumerate(minimal)]
+    return tuple(times(g, (0,) * ctx.nvars, pow(lead(g)[1], -1, p)) for g in out)
+
+
+def _random_monomials(rng, nvars, count, max_exp):
+    return [tuple(rng.randint(0, max_exp) for _ in range(nvars)) for _ in range(count)]
+
+
+class TestTextbookOracle:
+    """reduced_groebner against the plain Buchberger above, on seeded ideals."""
+
+    @staticmethod
+    def cases(seed):
+        rng = random.Random(seed)
+        for p in (2, 3, 5):
+            for nvars in (2, 3):
+                yield rng, RingContext(p, ("x", "y", "z")[:nvars])
+
+    def check(self, ctx, gens):
+        assert reduced_groebner(gens, ctx) == _textbook_groebner(gens, ctx)
+
+    def test_all_monomial(self):
+        for rng, ctx in self.cases(91):
+            for _ in range(8):
+                monos = _random_monomials(rng, ctx.nvars, rng.randint(1, 5), 4)
+                # non-minimal generators (multiples) and duplicates, any coefficient
+                monos += [tuple(e + rng.randint(0, 2) for e in m) for m in monos]
+                monos += rng.sample(monos, len(monos) // 2)
+                gens = [Polynomial(ctx, {m: rng.randint(1, ctx.p - 1)}) for m in monos]
+                rng.shuffle(gens)
+                self.check(ctx, gens)
+
+    def test_mixed(self):
+        for rng, ctx in self.cases(92):
+            for _ in range(12):
+                count = rng.randint(1, 2)
+                monos = [Polynomial(ctx, {m: 1}) for m in _random_monomials(rng, ctx.nvars, count, 3)]
+                # a generator inside the monomial ideal reduces to zero there
+                inside = sum(
+                    (m * random_poly(rng, ctx, max_terms=2, max_exp=1) for m in monos),
+                    Polynomial.zero(ctx),
+                )
+                others = [random_poly(rng, ctx, max_terms=4, max_exp=3) for _ in range(3)]
+                gens = monos[: rng.randint(0, count)] + [inside] + others + others[:1]
+                rng.shuffle(gens)
+                self.check(ctx, gens)
 
 
 class TestNormalFormMembership:
@@ -170,31 +262,26 @@ class TestBracketPower:
 
 
 def test_monomial_order_keys():
-    grevlex = MonomialOrder.GREVLEX.key
-    lex = MonomialOrder.LEX.key
     # deg first for grevlex: y^3 > x^2
-    assert grevlex((0, 3)) > grevlex((2, 0))
-    # lex prefers the first variable
-    assert lex((2, 0)) > lex((0, 3))
+    assert grevlex_key((0, 3)) > grevlex_key((2, 0))
     # grevlex tie-break: smaller last exponent wins
-    assert grevlex((1, 1, 0)) > grevlex((1, 0, 1))
+    assert grevlex_key((1, 1, 0)) > grevlex_key((1, 0, 1))
 
 
 def test_order_axioms_random():
     rng = random.Random(81)
-    for key in (MonomialOrder.GREVLEX.key, MonomialOrder.LEX.key):
-        one = (0, 0, 0)
-        for _ in range(50):
-            a = tuple(rng.randint(0, 6) for _ in range(3))
-            b = tuple(rng.randint(0, 6) for _ in range(3))
-            c = tuple(rng.randint(0, 6) for _ in range(3))
-            # 1 is minimal
-            assert key(one) <= key(a)
-            # multiplicative: comparisons survive a common factor
-            if key(a) < key(b):
-                ac = tuple(x + y for x, y in zip(a, c))
-                bc = tuple(x + y for x, y in zip(b, c))
-                assert key(ac) < key(bc)
+    one = (0, 0, 0)
+    for _ in range(50):
+        a = tuple(rng.randint(0, 6) for _ in range(3))
+        b = tuple(rng.randint(0, 6) for _ in range(3))
+        c = tuple(rng.randint(0, 6) for _ in range(3))
+        # 1 is minimal
+        assert grevlex_key(one) <= grevlex_key(a)
+        # multiplicative: comparisons survive a common factor
+        if grevlex_key(a) < grevlex_key(b):
+            ac = tuple(x + y for x, y in zip(a, c))
+            bc = tuple(x + y for x, y in zip(b, c))
+            assert grevlex_key(ac) < grevlex_key(bc)
 
 
 def test_generator_strings_sorted(ctx2):
