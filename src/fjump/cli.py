@@ -19,7 +19,7 @@ from .digits import orbit
 from .frobenius import frobenius_root_poly
 from .grammar import ParseError, format_poly, infer_variables, parse_poly
 from .ideals import BudgetExceededError, Ideal
-from .ring import Polynomial, RingContext
+from .ring import MAX_CHAR, Polynomial, RingContext, is_prime
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -206,8 +206,8 @@ def _cmd_nilcmp(args) -> int:
 
 def _cmd_orbit(args) -> int:
     s = _rational(args.rational)
-    if args.p < 2:
-        raise _CliError("need a prime -p", EXIT_USAGE)
+    if not (args.p < MAX_CHAR and is_prime(args.p)):
+        raise _CliError(f"need a prime -p below {MAX_CHAR}", EXIT_USAGE)
     try:
         report = orbit(s, args.p, args.m)
     except ValueError as err:
@@ -263,17 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, poly=True):
+    def common(sp, smax=True):
         sp.add_argument("-p", type=int, required=True, help="prime characteristic")
         sp.add_argument("--vars", help="comma-separated variable names")
-        sp.add_argument("--smax", type=int, default=testideals.DEFAULT_S_MAX)
+        if smax:
+            sp.add_argument("--smax", type=int, default=testideals.DEFAULT_S_MAX)
         sp.add_argument("--json", action="store_true")
-        if poly:
-            sp.add_argument("poly", help="polynomial text, e.g. 'x^2+y^3'")
+        sp.add_argument("poly", help="polynomial text, e.g. 'x^2+y^3'")
 
     sp = sub.add_parser("froot", help="Frobenius root of a principal ideal")
     sp.add_argument("-e", type=int, default=1, help="Frobenius level (default 1)")
-    common(sp)
+    common(sp, smax=False)
     sp.set_defaults(func=_cmd_froot)
 
     sp = sub.add_parser("tau", help="test ideal at an exact rational exponent")

@@ -78,7 +78,7 @@ class _Scanner:
     def take_uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.advance(1)
         if self.pos == start:
             self.error("expected an unsigned integer")
@@ -136,7 +136,7 @@ def _parse_term(sc: _Scanner, ctx: RingContext, n: int) -> tuple[Monomial, int]:
 
     after_star = False
     ch = sc.peek()
-    if ch.isdigit():
+    if "0" <= ch <= "9":  # ASCII only: str.isdigit() also accepts '²'
         coeff = sc.take_uint() % ctx.p
         saw_factor = True
         if sc.peek() == "*":

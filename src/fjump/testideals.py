@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digits import BasePExpansion, CanonicalForm, canonicalize, expand, reconstruct
+from .digits import BasePExpansion, canonicalize, expand, reconstruct
 from .frobenius import frobenius_root_ideal
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
@@ -137,15 +137,11 @@ def tau(f: Polynomial, c: Fraction, s_max: int = DEFAULT_S_MAX) -> Ideal:
     if c == 0:
         return Ideal.unit(f.ctx)
     p = f.ctx.p
-    den = c.denominator
-    d = 0
-    while den % p == 0:
-        den //= p
-        d += 1
-    if den == 1:
-        e = max(d, 1)
-        return tau_dyadic(f, ceil_mul(c, p, e), e)
     cf = canonicalize(c, p)
+    if cf.beta == 1 and cf.a % (p - 1) == 0:
+        # c = r/p^d is dyadic; tau is one root, taken at level 1 when d = 0
+        r = cf.a // (p - 1)
+        return tau_dyadic(f, r, cf.d) if cf.d else tau_dyadic(f, r * p, 1)
     q_minus = p**cf.beta - 1
     b = -((-cf.a) // q_minus)  # ceil(gamma); makes ceil(gamma p^(s beta)) = a psi_s + b
     seed = Ideal(f.ctx, (f**b,))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,18 +40,20 @@ CHECK_NAMES = (
 )
 
 
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
+
+
 def parse_rational(text) -> Fraction:
-    """Exact rational from an int or a 'num' / 'num/den' string."""
-    if isinstance(text, int):
+    """Exact rational from an int or an ASCII 'num' / 'num/den' string."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if isinstance(text, str):
-        parts = text.split("/")
-        if all(part.strip().lstrip("-").isdigit() for part in parts) and len(parts) in (1, 2):
-            den = int(parts[1]) if len(parts) == 2 else 1
-            if den == 0:
-                raise ValueError(f"zero denominator: {text!r}")
-            return Fraction(int(parts[0]), den)
-    raise ValueError(f"not an exact rational: {text!r}")
+    match = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not an exact rational: {text!r}")
+    num, den = int(match.group(1)), int(match.group(2) or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,8 @@ def _entry_from_row(row: dict, index: int) -> CorpusEntry:
         bound = parse_rational(row["B"])
         expect = row.get("expect_jumps")
         if expect is not None:
+            if not isinstance(expect, list):
+                raise ValueError(f"expect_jumps must be a list, got {expect!r}")
             expect = tuple(sorted(parse_rational(x) for x in expect))
         entry = CorpusEntry(row["p"], row["f"], bound, expect)
         entry.poly()  # validate the prime and the polynomial text now
@@ -296,13 +301,11 @@ def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> Entry
         classes = []
         for _ in range(4):
             a, beta = rng.randint(1, 2 * p), rng.randint(1, 2)
-            trace = chains.chain(f, a, beta, s_max, cross_check=False)
-            gamma = Fraction(a, p**beta - 1)
-            left = testideals.tau_left_limit(f, gamma, s_max)
-            if trace.stable != left:
+            nil = chains.nil_class(f, a, beta, s_max)
+            if nil.representative != testideals.tau_left_limit(f, nil.gamma, s_max):
                 ok = False
                 details.append(f"chain value at (a={a}, beta={beta}) is not the left limit")
-            classes.append(chains.NilClass(f, a, beta, trace.stable, gamma))
+            classes.append(nil)
         er.checks.append(CheckResult("chain_stabilization", ok, "; ".join(details)))
 
         ok, details = True, []

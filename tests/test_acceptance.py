@@ -182,7 +182,7 @@ def test_criterion_06_chain_stabilization():
         a = rng.randint(1, 6)
         max_terms = 2 if (p, beta) == (3, 2) else 3
         g = random_poly(rng, ctx, max_terms=max_terms, max_exp=3)
-        trace = chain(g, a, beta, cross_check=False)
+        trace = chain(g, a, beta)
         assert trace.stab_index <= 32
         q = p**beta
         for s in range(1, min(3, len(trace.terms)) + 1):

@@ -112,6 +112,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "froot", "-p", "2", "x +")
         assert code == 3 and "parse" in err.lower()
 
+    def test_parse_error_non_ascii_digit(self, capsys):
+        code, _, err = run(capsys, "froot", "-p", "2", "x^²")
+        assert code == 3 and "line 1, column 3" in err
+
+    @pytest.mark.parametrize("p", ["4", "1", "65537"])
+    def test_orbit_needs_prime(self, capsys, p):
+        code, _, err = run(capsys, "orbit", "-p", p, "1/3")
+        assert code == 2 and "prime" in err
+
     def test_parse_error_rational(self, capsys):
         code, _, err = run(capsys, "tau", "-p", "2", "-c", "0.5", "x")
         assert code == 3

@@ -81,6 +81,13 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_poly("x + ", ctx2)
 
+    @pytest.mark.parametrize("text, col", [("x^²", 3), ("²x", 1), ("x + ٣y", 5)])
+    def test_non_ascii_digits(self, ctx2, text, col):
+        # str.isdigit() accepts these, and int() takes '٣' as 3
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, ctx2)
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_parse_errors_are_value_errors(self, ctx2):
         with pytest.raises(ValueError):
             parse_poly("$", ctx2)

@@ -20,6 +20,12 @@ class TestParseRational:
             parse_rational(bad)
 
 
+    @pytest.mark.parametrize("bad", ["١/٢", "²", "--1", "1 / 2", True, False])
+    def test_rejects_non_ascii_and_bool(self, bad):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            parse_rational(bad)
+
+
 class TestCorpus:
     def test_default_shape(self):
         corpus = default_corpus()
@@ -56,6 +62,19 @@ class TestCorpus:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"p": 4, "f": "x", "B": "1"}\n')
         with pytest.raises(ValueError, match="entry 0"):
+            load_corpus(str(path))
+
+    def test_bool_bound(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"p": 2, "f": "x", "B": true}\n')
+        with pytest.raises(ValueError, match="entry 0: not an exact rational"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("expect", ['"15"', '{"1": 0}', "1"])
+    def test_expect_jumps_must_be_list(self, tmp_path, expect):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"p": 2, "f": "x", "B": "1", "expect_jumps": %s}\n' % expect)
+        with pytest.raises(ValueError, match="expect_jumps must be a list"):
             load_corpus(str(path))
 
     def test_unknown_key(self, tmp_path):
