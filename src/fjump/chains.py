@@ -18,12 +18,7 @@ from fractions import Fraction
 from .frobenius import frobenius_root_poly  # noqa: F401 - perfbench/tracer.py wraps this binding
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
-from .testideals import (
-    DEFAULT_S_MAX,
-    _phi_fixed_point,
-    enumerate_jumps,
-    tau,
-)
+from .testideals import _phi_fixed_point, enumerate_jumps, tau
 
 BIJECTION_BETA_MAX = 12
 
@@ -59,13 +54,13 @@ class ChainTrace:
         return self.terms[-1]
 
 
-def chain(g: Polynomial, a: int, beta: int, s_max: int = DEFAULT_S_MAX) -> ChainTrace:
+def chain(g: Polynomial, a: int, beta: int) -> ChainTrace:
     """Run the chain to its fixed point via the step Phi(J) = I_beta(g^a J)."""
     if g.is_zero():
         raise ValueError("need a nonzero polynomial")
     if a < 0 or beta < 1:
         raise ValueError("need a >= 0 and beta >= 1")
-    trace = _phi_fixed_point(g, a, beta, Ideal.unit(g.ctx), s_max)
+    trace = _phi_fixed_point(g, a, beta, Ideal.unit(g.ctx))
     terms = trace[1:]  # drop the seed <1>; terms[s-1] = C_s
     if len(terms) == 1:
         # the first term already equals the seed; record C_2 = C_1 so the
@@ -88,10 +83,8 @@ class NilClass:
     gamma: Fraction
 
 
-def nil_class(
-    g: Polynomial, a: int, beta: int, s_max: int = DEFAULT_S_MAX
-) -> NilClass:
-    trace = chain(g, a, beta, s_max)
+def nil_class(g: Polynomial, a: int, beta: int) -> NilClass:
+    trace = chain(g, a, beta)
     gamma = Fraction(a, g.ctx.p**beta - 1)
     return NilClass(g, a, beta, trace.stable, gamma)
 
@@ -139,12 +132,7 @@ def nil_compare(n1: NilClass, n2: NilClass) -> NilComparison:
     return NilComparison(gamma_order, representative_order)
 
 
-def bijection_check(
-    g: Polynomial,
-    c: Fraction,
-    next_jump: Fraction | None = None,
-    s_max: int = DEFAULT_S_MAX,
-) -> bool:
+def bijection_check(g: Polynomial, c: Fraction, next_jump: Fraction | None = None) -> bool:
     """Check that some class (a, beta) realizes tau(g^c) as its stable value.
 
     Sweeps beta upward taking the least a with gamma = a/(p^beta - 1) > c;
@@ -157,11 +145,11 @@ def bijection_check(
     if c < 0:
         raise ValueError(f"need c >= 0, got {c}")
     if next_jump is None:
-        scan = enumerate_jumps(g, c + 1, s_max=s_max)
+        scan = enumerate_jumps(g, c + 1)
         later = [j for j in scan.coefficients() if j > c]
         if later:
             next_jump = later[0]
-    target = tau(g, c, s_max)
+    target = tau(g, c)
     p = g.ctx.p
     for beta in range(1, BIJECTION_BETA_MAX + 1):
         den = p**beta - 1
@@ -169,7 +157,7 @@ def bijection_check(
         gamma = Fraction(a, den)
         if next_jump is not None and gamma > next_jump:
             continue
-        rep = nil_class(g, a, beta, s_max).representative
+        rep = nil_class(g, a, beta).representative
         if rep == target:
             return True
         if next_jump is not None:

@@ -90,7 +90,7 @@ def _cmd_tau(args) -> int:
     ctx = _context(args)
     f = _poly(args, ctx)
     c = _rational(args.c)
-    value = testideals.tau(f, c, args.smax)
+    value = testideals.tau(f, c)
     _emit(
         args,
         _ideal_text(value),
@@ -117,7 +117,7 @@ def _cmd_jumps(args) -> int:
     ctx = _context(args)
     f = _poly(args, ctx)
     bound = _rational(args.B)
-    report = testideals.enumerate_jumps(f, bound, args.depth, args.smax)
+    report = testideals.enumerate_jumps(f, bound, args.depth)
     lines = [
         f"{j.c}: {_ideal_text(j.tau_left)} -> {_ideal_text(j.tau_at)}"
         for j in report.jumps
@@ -130,7 +130,7 @@ def _cmd_jumps(args) -> int:
 def _cmd_fpt(args) -> int:
     ctx = _context(args)
     f = _poly(args, ctx)
-    report = testideals.enumerate_jumps(f, Fraction(1), args.depth, args.smax)
+    report = testideals.enumerate_jumps(f, Fraction(1), args.depth)
     first_unresolved = report.unresolved[0] if report.unresolved else None
     if report.jumps and (
         first_unresolved is None or report.jumps[0].c <= first_unresolved[0]
@@ -146,7 +146,7 @@ def _cmd_fpt(args) -> int:
 def _cmd_chain(args) -> int:
     ctx = _context(args)
     g = _poly(args, ctx)
-    trace = chains.chain(g, args.a, args.b, args.smax)
+    trace = chains.chain(g, args.a, args.b)
     lines = [
         f"C_{s + 1} = {_ideal_text(term)}" for s, term in enumerate(trace.terms)
     ]
@@ -176,8 +176,8 @@ def _cmd_nilcmp(args) -> int:
             pairs.append((int(a_text), int(b_text)))
         except ValueError as err:
             raise _CliError(f"--class expects 'a,beta', got {text!r}", EXIT_USAGE) from err
-    n1 = chains.nil_class(g, *pairs[0], s_max=args.smax)
-    n2 = chains.nil_class(g, *pairs[1], s_max=args.smax)
+    n1 = chains.nil_class(g, *pairs[0])
+    n2 = chains.nil_class(g, *pairs[1])
     cmp = chains.nil_compare(n1, n2)
     text = "\n".join(
         [
@@ -236,9 +236,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_verify(args) -> int:
     corpus = verify.load_corpus(args.corpus)
-    report = verify.run_suite(
-        corpus, depth=args.depth, s_max=args.smax, seed=args.seed, jobs=args.jobs
-    )
+    report = verify.run_suite(corpus, depth=args.depth, seed=args.seed, jobs=args.jobs)
     lines = []
     for er in report.entries:
         status = "PASS" if er.passed else "FAIL"
@@ -263,17 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, smax=True):
+    def common(sp):
         sp.add_argument("-p", type=int, required=True, help="prime characteristic")
         sp.add_argument("--vars", help="comma-separated variable names")
-        if smax:
-            sp.add_argument("--smax", type=int, default=testideals.DEFAULT_S_MAX)
         sp.add_argument("--json", action="store_true")
         sp.add_argument("poly", help="polynomial text, e.g. 'x^2+y^3'")
 
     sp = sub.add_parser("froot", help="Frobenius root of a principal ideal")
     sp.add_argument("-e", type=int, default=1, help="Frobenius level (default 1)")
-    common(sp, smax=False)
+    common(sp)
     sp.set_defaults(func=_cmd_froot)
 
     sp = sub.add_parser("tau", help="test ideal at an exact rational exponent")
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the structural checks over a corpus")
     sp.add_argument("--corpus", help="JSONL corpus path (default: built-in)")
     sp.add_argument("--depth", type=int, default=testideals.DEFAULT_DEPTH)
-    sp.add_argument("--smax", type=int, default=testideals.DEFAULT_S_MAX)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--json", action="store_true")

@@ -116,12 +116,10 @@ def _gm_update(lts: list[Monomial], active: list[int], pairs: list, h: int):
     active[:] = [g for g in active if not _divides(th, lts[g])] + [h]
 
 
-def reduced_groebner(
-    generators, ctx: RingContext, pair_budget: int = BUCHBERGER_PAIR_BUDGET
-) -> tuple[Polynomial, ...]:
+def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of <generators> under grevlex.
 
-    ``pair_budget`` bounds the number of S-pairs taken from the queue.
+    BUCHBERGER_PAIR_BUDGET bounds the number of S-pairs taken from the queue.
     """
     gens = list(dict.fromkeys(g for g in generators if not g.is_zero()))
     # minimal monomial generators (a constant included): a proper divisor
@@ -158,8 +156,10 @@ def reduced_groebner(
         if not pairs:
             break
         steps += 1
-        if steps > pair_budget:
-            raise BudgetExceededError(f"Groebner pair budget of {pair_budget} exhausted")
+        if steps > BUCHBERGER_PAIR_BUDGET:
+            raise BudgetExceededError(
+                f"Groebner pair budget of {BUCHBERGER_PAIR_BUDGET} exhausted"
+            )
         _, i, j, _ = heapq.heappop(pairs)
         todo = [_s_poly(basis[i], basis[j])]
 

@@ -167,9 +167,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: Polynomial) -> Polynomial:

@@ -10,22 +10,24 @@ which follows from the composition law I_{e'+e} = I_{e'} after I_e and the
 skew identity I_e(h^{p^e} * I) = h * I_e(I). Every intermediate object
 stays no bigger than the answer.
 
-For general c, writing c = a / (p^d (p^beta - 1)) and gamma = p^d c =
-a/(p^beta - 1), the scaled exponents telescope through the step operator
-Phi(J) = I_beta(f^a * J):
+For general c, writing c = a / (p^d (p^beta - 1)) and splitting
+p^d c = m + g with m an integer and g = a'/(p^beta - 1) in [0, 1), Skoda's
+theorem tau(f^(t + 1)) = f * tau(f^t) and the pull-back identity
+I_1(tau(f^(p c))) = tau(f^c) give
 
-* from J_0 = <1>, the iterates are J_s = I_{s beta}(f^(a psi_s)) with
-  psi_s = (p^(s beta) - 1)/(p^beta - 1); these descend to the common value
-  of tau just below gamma (the left limit at gamma);
-* from T_0 = <f^b> with b = ceil(gamma), the iterates are
-  T_s = I_{s beta}(f^(ceil(gamma p^(s beta)))), the defining chain of
-  tau(f^gamma), because ceil(gamma p^(s beta)) = a psi_s + b (add the
-  integer a psi_s to gamma p^0 and take ceilings).
+    tau(f^c) = I_d( f^m * tau(f^g) ),
+
+one digit-recursive root of the value at the fractional part g. That value
+is the fixed point of the step operator Phi(J) = I_beta(f^a' * J) started
+from the seed <f^ceil(g)>: the iterates are T_s = I_{s beta}(f^(a' psi_s +
+ceil(g))) with psi_s = (p^(s beta) - 1)/(p^beta - 1), the defining chain of
+tau(f^g), since ceil(g p^(s beta)) = a' psi_s + ceil(g). A dyadic c is the
+case g = 0, where Phi fixes <1> in one step. The left limit at c splits
+with g in (0, 1] instead and starts from <1>: the iterates
+I_{s beta}(f^(a' psi_s)) descend to the common value of tau just below g.
 
 Phi is monotone and deterministic, so two equal consecutive iterates make
 the chain stationary forever: the fixed point is a rigorous stopping rule.
-Finally tau at c itself is the d-fold Frobenius root of the value at
-gamma, by the pull-back identity I_1(tau(f^(p c))) = tau(f^c).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .frobenius import frobenius_root_ideal
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
 
-DEFAULT_S_MAX = 64
+PHI_STEP_BUDGET = 64
 DEFAULT_DEPTH = 4
 NU_EXPONENT_BUDGET = 1 << 20
 
@@ -88,47 +90,48 @@ def phi_step(f: Polynomial, a: int, beta: int, J: Ideal) -> Ideal:
     return _root_scaled(f, a, beta, J)
 
 
-def _phi_fixed_point(
-    f: Polynomial, a: int, beta: int, start: Ideal, s_max: int
-) -> list[Ideal]:
+def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ideal]:
     """Iterate Phi from ``start`` until two consecutive values agree.
 
     Returns the trace [start, Phi(start), ...] ending with the repeated
-    value. Raises if no fixed point appears within s_max steps (the chain
-    is guaranteed to stabilize, so this signals a bug or a too-small
-    budget).
+    value. Raises if no fixed point appears within PHI_STEP_BUDGET steps
+    (the chain is guaranteed to stabilize, so this signals a bug).
     """
     trace = [start]
-    for _ in range(s_max):
+    for _ in range(PHI_STEP_BUDGET):
         nxt = phi_step(f, a, beta, trace[-1])
         trace.append(nxt)
         if nxt == trace[-2]:
             return trace
     raise BudgetExceededError(
-        f"chain did not stabilize within s_max={s_max} steps "
-        f"(a={a}, beta={beta}); the chain must stabilize, so increase s_max "
-        "or report a bug"
+        f"chain did not stabilize within {PHI_STEP_BUDGET} steps "
+        f"(a={a}, beta={beta}); the chain must stabilize, so report a bug"
     )
 
 
-def _pullback(J: Ideal, d: int) -> Ideal:
-    return frobenius_root_ideal(J, d) if d else J
+def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
+    """tau(f^c) for c > 0, or its left limit, by the Skoda split p^d c = m + g."""
+    cf = canonicalize(c, f.ctx.p)
+    q_minus = f.ctx.p**cf.beta - 1
+    # g = a/q_minus lies in (0, 1] for the left limit and in [0, 1) for tau,
+    # whose chain starts from <f^ceil(g)>
+    m = (cf.a - 1) // q_minus if left else cf.a // q_minus
+    a = cf.a - m * q_minus
+    seed = Ideal.unit(f.ctx) if left or not a else Ideal(f.ctx, (f,))
+    trace = _phi_fixed_point(f, a, cf.beta, seed)
+    return _root_scaled(f, m, cf.d, trace[-1])
 
 
-def tau_left_limit(
-    f: Polynomial, c: Fraction, s_max: int = DEFAULT_S_MAX
-) -> Ideal:
+def tau_left_limit(f: Polynomial, c: Fraction) -> Ideal:
     """The common value of tau(f^(c - eps)) for all small eps > 0."""
     _require_nonzero(f)
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"need a positive exponent, got {c}")
-    cf = canonicalize(c, f.ctx.p)
-    trace = _phi_fixed_point(f, cf.a, cf.beta, Ideal.unit(f.ctx), s_max)
-    return _pullback(trace[-1], cf.d)
+    return _tau_split(f, c, left=True)
 
 
-def tau(f: Polynomial, c: Fraction, s_max: int = DEFAULT_S_MAX) -> Ideal:
+def tau(f: Polynomial, c: Fraction) -> Ideal:
     """The generalized test ideal tau(f^c) at an exact rational c >= 0."""
     _require_nonzero(f)
     c = Fraction(c)
@@ -136,17 +139,7 @@ def tau(f: Polynomial, c: Fraction, s_max: int = DEFAULT_S_MAX) -> Ideal:
         raise ValueError(f"need a non-negative exponent, got {c}")
     if c == 0:
         return Ideal.unit(f.ctx)
-    p = f.ctx.p
-    cf = canonicalize(c, p)
-    if cf.beta == 1 and cf.a % (p - 1) == 0:
-        # c = r/p^d is dyadic; tau is one root, taken at level 1 when d = 0
-        r = cf.a // (p - 1)
-        return tau_dyadic(f, r, cf.d) if cf.d else tau_dyadic(f, r * p, 1)
-    q_minus = p**cf.beta - 1
-    b = -((-cf.a) // q_minus)  # ceil(gamma); makes ceil(gamma p^(s beta)) = a psi_s + b
-    seed = Ideal(f.ctx, (f**b,))
-    trace = _phi_fixed_point(f, cf.a, cf.beta, seed, s_max)
-    return _pullback(trace[-1], cf.d)
+    return _tau_split(f, c, left=False)
 
 
 @dataclass(frozen=True)
@@ -162,11 +155,11 @@ class JumpTest:
         return self.jumping
 
 
-def is_jumping(f: Polynomial, c: Fraction, s_max: int = DEFAULT_S_MAX) -> JumpTest:
+def is_jumping(f: Polynomial, c: Fraction) -> JumpTest:
     """Test tau(f^(c-)) != tau(f^c), returning both witness ideals."""
     c = Fraction(c)
-    left = tau_left_limit(f, c, s_max)
-    at = tau(f, c, s_max)
+    left = tau_left_limit(f, c)
+    at = tau(f, c)
     if not left.contains(at):
         raise AssertionError(
             f"tau left limit fails to contain tau at c={c}; this is a bug"
@@ -197,9 +190,7 @@ def _pow_normal_form(f: Polynomial, r: int, I: Ideal) -> Polynomial:
     return result
 
 
-def nu(
-    f: Polynomial, J: Ideal, e: int, max_exponent: int = NU_EXPONENT_BUDGET
-) -> int:
+def nu(f: Polynomial, J: Ideal, e: int) -> int:
     """max{r >= 0 : f^r not in J^[p^e]}, by exponential-then-binary search.
 
     Finite only when f lies in the radical of J; the exponent budget turns
@@ -221,7 +212,7 @@ def nu(
     lo, hi = 1, 2
     while not member(hi):
         lo, hi = hi, hi * 2
-        if hi > max_exponent:
+        if hi > NU_EXPONENT_BUDGET:
             raise BudgetExceededError(
                 f"f^r stayed outside the bracket power up to r={lo}; "
                 "f may not lie in the radical of J"
@@ -298,10 +289,7 @@ def _interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
 
 
 def enumerate_jumps(
-    f: Polynomial,
-    bound: Fraction,
-    depth: int = DEFAULT_DEPTH,
-    s_max: int = DEFAULT_S_MAX,
+    f: Polynomial, bound: Fraction, depth: int = DEFAULT_DEPTH
 ) -> JumpReport:
     """Find every F-jumping coefficient of f in (0, bound].
 
@@ -338,7 +326,7 @@ def enumerate_jumps(
         e, r, t_lo, t_hi = queue.pop(0)
         found = None
         for c in _interval_candidates(p, e, r):
-            jt = is_jumping(f, c, s_max)
+            jt = is_jumping(f, c)
             if jt.jumping and jt.tau_left == t_lo and jt.tau_at == t_hi:
                 found = jt
                 break

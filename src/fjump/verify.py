@@ -215,14 +215,14 @@ def _segments(report: testideals.JumpReport) -> list[tuple[Fraction, Fraction, I
     return out
 
 
-def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> EntryReport:
+def _check_entry(entry: CorpusEntry, depth: int, seed: int) -> EntryReport:
     rng = random.Random(f"{seed}:{entry.p}:{entry.f_text}")
     started = time.monotonic()
     er = EntryReport(entry)
     try:
         f = entry.poly()
         p = entry.p
-        report = testideals.enumerate_jumps(f, entry.bound, depth, s_max)
+        report = testideals.enumerate_jumps(f, entry.bound, depth)
 
         if entry.expect_jumps is None:
             er.checks.append(
@@ -264,7 +264,7 @@ def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> Entry
         for lo, hi, value in _segments(report):
             for _ in range(4):
                 c = _random_rational_between(rng, lo, hi)
-                if testideals.tau(f, c, s_max) != value:
+                if testideals.tau(f, c) != value:
                     ok = False
                     details.append(f"tau not constant at {c} in ({lo}, {hi})")
         er.checks.append(CheckResult("right_constancy", ok, "; ".join(details)))
@@ -272,7 +272,7 @@ def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> Entry
         ok, details = True, []
         for lo, hi, _ in _segments(report):
             c = _random_rational_between(rng, lo, hi)
-            jt = testideals.is_jumping(f, c, s_max)
+            jt = testideals.is_jumping(f, c)
             if jt.jumping:
                 ok = False
                 details.append(f"spurious jump inside ({lo}, {hi}) at {c}")
@@ -280,7 +280,7 @@ def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> Entry
 
         ok, details = True, []
         for jump in report.jumps:
-            if jump.c > 1 and not testideals.is_jumping(f, jump.c - 1, s_max).jumping:
+            if jump.c > 1 and not testideals.is_jumping(f, jump.c - 1).jumping:
                 ok = False
                 details.append(f"{jump.c} - 1 is not a jump")
         er.checks.append(CheckResult("shift_law", ok, "; ".join(details)))
@@ -288,11 +288,11 @@ def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> Entry
         ok, details = True, []
         for jump in report.jumps:
             pc = p * jump.c
-            if pc <= report.bound and not testideals.is_jumping(f, pc, s_max).jumping:
+            if pc <= report.bound and not testideals.is_jumping(f, pc).jumping:
                 ok = False
                 details.append(f"p*{jump.c} is not a jump")
             wrapped = frac_mod(pc, 1)
-            if wrapped > 0 and not testideals.is_jumping(f, wrapped, s_max).jumping:
+            if wrapped > 0 and not testideals.is_jumping(f, wrapped).jumping:
                 ok = False
                 details.append(f"p*{jump.c} mod 1 = {wrapped} is not a jump")
         er.checks.append(CheckResult("scale_law", ok, "; ".join(details)))
@@ -301,8 +301,8 @@ def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> Entry
         classes = []
         for _ in range(4):
             a, beta = rng.randint(1, 2 * p), rng.randint(1, 2)
-            nil = chains.nil_class(f, a, beta, s_max)
-            if nil.representative != testideals.tau_left_limit(f, nil.gamma, s_max):
+            nil = chains.nil_class(f, a, beta)
+            if nil.representative != testideals.tau_left_limit(f, nil.gamma):
                 ok = False
                 details.append(f"chain value at (a={a}, beta={beta}) is not the left limit")
             classes.append(nil)
@@ -325,12 +325,14 @@ def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> Entry
         er.checks.append(CheckResult("total_order", ok, "; ".join(details)))
 
         ok, details = True, []
-        points = [(Fraction(0), report.jumps[0].c if report.jumps else None)]
-        for k, jump in enumerate(report.jumps):
-            nxt = report.jumps[k + 1].c if k + 1 < len(report.jumps) else None
-            points.append((jump.c, nxt))
+        cs = report.coefficients()
+        points = list(zip([Fraction(0)] + cs, cs + [None]))
+        if report.complete and report.bound >= 1:
+            # jumps of a principal ideal repeat with period 1 (Skoda), so the
+            # jump after the last one in (0, bound] is the least j + 1 beyond it
+            points[-1] = (cs[-1], min(j + 1 for j in cs if j + 1 > cs[-1]))
         for c, nxt in points:
-            if not chains.bijection_check(f, c, nxt, s_max=s_max):
+            if not chains.bijection_check(f, c, nxt):
                 ok = False
                 details.append(f"no chain class realizes tau at {c}")
         er.checks.append(CheckResult("class_bijection", ok, "; ".join(details)))
@@ -343,11 +345,12 @@ def _check_entry(entry: CorpusEntry, depth: int, s_max: int, seed: int) -> Entry
 def run_suite(
     corpus: Corpus | None = None,
     depth: int = testideals.DEFAULT_DEPTH,
-    s_max: int = testideals.DEFAULT_S_MAX,
     seed: int = 0,
     jobs: int = 1,
 ) -> VerificationReport:
     """Run every check against every corpus entry; deterministic given seed."""
+    if depth < 1:
+        raise ValueError(f"need depth >= 1, got {depth}")
     if corpus is None:
         corpus = default_corpus()
     if not corpus.entries:
@@ -356,8 +359,8 @@ def run_suite(
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             reports = list(
-                pool.map(lambda e: _check_entry(e, depth, s_max, seed), corpus.entries)
+                pool.map(lambda e: _check_entry(e, depth, seed), corpus.entries)
             )
     else:
-        reports = [_check_entry(e, depth, s_max, seed) for e in corpus.entries]
+        reports = [_check_entry(e, depth, seed) for e in corpus.entries]
     return VerificationReport(reports, time.monotonic() - started)

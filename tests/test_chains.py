@@ -17,6 +17,7 @@ from fjump import (
     psi,
     tau,
     tau_left_limit,
+    testideals,
 )
 
 from conftest import ideal, poly, random_poly
@@ -99,10 +100,11 @@ class TestChain:
                 gamma = Fraction(a, p**beta - 1)
                 assert chain(g, a, beta).stable == tau_left_limit(g, gamma)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(testideals, "PHI_STEP_BUDGET", 1)
         ctx = RingContext(2, ("x",))
         with pytest.raises(BudgetExceededError):
-            chain(poly(ctx, "x"), 3, 1, s_max=1)
+            chain(poly(ctx, "x"), 3, 1)
 
     def test_rejects_zero(self, ctx2):
         with pytest.raises(ValueError):

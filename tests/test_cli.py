@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fjump import testideals
 from fjump.cli import main
 
 
@@ -125,9 +126,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "tau", "-p", "2", "-c", "0.5", "x")
         assert code == 3
 
-    def test_budget_exceeded(self, capsys):
-        code, _, err = run(capsys, "tau", "-p", "2", "-c", "2/3", "--smax", "0", "x+y^3")
+    def test_budget_exceeded(self, capsys, monkeypatch):
+        monkeypatch.setattr(testideals, "PHI_STEP_BUDGET", 0)
+        code, _, err = run(capsys, "tau", "-p", "2", "-c", "2/3", "x+y^3")
         assert code == 4 and "stabilize" in err
+
+    def test_verify_depth_zero(self, capsys):
+        code, out, err = run(capsys, "verify", "--depth", "0")
+        assert code == 2 and "depth" in err and out == ""
 
     def test_verify_failure(self, capsys, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -8,6 +8,7 @@ from fjump import (
     Polynomial,
     RingContext,
     grevlex_key,
+    ideals,
     normal_form,
     reduced_groebner,
 )
@@ -57,11 +58,12 @@ class TestReducedGroebner:
             assert I.contains_poly(poly(ctx, g))
         assert len(gb) == 3
 
-    def test_pair_budget(self):
+    def test_pair_budget(self, monkeypatch):
+        monkeypatch.setattr(ideals, "BUCHBERGER_PAIR_BUDGET", 1)
         ctx = RingContext(5, ("x", "y", "z"))
         gens = [poly(ctx, t) for t in ("x^2 - y", "x^3 - z", "y^3 + x*z")]
         with pytest.raises(BudgetExceededError):
-            reduced_groebner(gens, ctx, pair_budget=1)
+            reduced_groebner(gens, ctx)
 
 
 def _textbook_groebner(gens, ctx):

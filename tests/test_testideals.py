@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from fjump import (
     tau,
     tau_dyadic,
     tau_left_limit,
+    testideals,
 )
 
 from conftest import ideal, poly, random_poly
@@ -42,6 +44,13 @@ def monomial_tau(f, c):
     """Closed-form oracle for a single monomial: floor-scale each exponent."""
     ((mono, _),) = f.terms.items()
     return Ideal(f.ctx, (Polynomial.monomial(f.ctx, tuple(int(c * d) for d in mono)),))
+
+
+def monomial_tau_left(f, c):
+    """Closed-form left limit for a single monomial: ceil-scale less one."""
+    ((mono, _),) = f.terms.items()
+    exps = tuple(max(math.ceil(c * d) - 1, 0) for d in mono)
+    return Ideal(f.ctx, (Polynomial.monomial(f.ctx, exps),))
 
 
 def monomial_jump_set(f, bound):
@@ -147,9 +156,10 @@ class TestTauLeftLimit:
         with pytest.raises(ValueError):
             tau_left_limit(poly(ctx2, "x"), Fraction(0))
 
-    def test_budget_diagnostic(self, ctx2):
+    def test_budget_diagnostic(self, ctx2, monkeypatch):
+        monkeypatch.setattr(testideals, "PHI_STEP_BUDGET", 0)
         with pytest.raises(BudgetExceededError):
-            tau_left_limit(poly(ctx2, "x + y^3"), Fraction(2, 3), s_max=0)
+            tau_left_limit(poly(ctx2, "x + y^3"), Fraction(2, 3))
 
 
 class TestTau:
@@ -164,10 +174,12 @@ class TestTau:
         rng = random.Random(73)
         for p in (2, 3, 5):
             ctx = RingContext(p, ("x", "y"))
-            for _ in range(15):
+            for _ in range(40):
                 f = Polynomial.monomial(ctx, (rng.randint(1, 3), rng.randint(0, 3)))
-                c = Fraction(rng.randint(1, 40), rng.randint(1, 20))
+                # a factor p or p^2 in the denominator gives c a p-adic part
+                c = Fraction(rng.randint(1, 40), rng.randint(1, 20) * p ** rng.randint(0, 2))
                 assert tau(f, c) == monomial_tau(f, c)
+                assert tau_left_limit(f, c) == monomial_tau_left(f, c)
 
     def test_exactness_anchor(self):
         # tau at r/p^e agrees with the single Frobenius root
@@ -267,9 +279,10 @@ class TestNu:
         with pytest.raises(ValueError):
             nu(poly(ctx2, "x"), Ideal.zero(ctx2), 1)
 
-    def test_budget_when_not_in_radical(self, ctx2):
+    def test_budget_when_not_in_radical(self, ctx2, monkeypatch):
+        monkeypatch.setattr(testideals, "NU_EXPONENT_BUDGET", 64)
         with pytest.raises(BudgetExceededError):
-            nu(poly(ctx2, "x + 1"), ideal(ctx2, "x"), 1, max_exponent=64)
+            nu(poly(ctx2, "x + 1"), ideal(ctx2, "x"), 1)
 
 
 class TestEnumerateJumps:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fjump import Corpus, default_corpus, load_corpus, run_suite
+from fjump import Corpus, chains, default_corpus, load_corpus, run_suite, testideals
 from fjump.verify import parse_rational
 
 
@@ -149,14 +149,25 @@ class TestRunSuite:
         bad = [c for c in report.entries[0].checks if not c.passed]
         assert bad and bad[0].name == "expected_jumps"
 
+    def test_class_check_does_not_enumerate_again(self, monkeypatch):
+        # with a bound >= 1 the jump after the last one comes from the
+        # suite's own enumeration, by Skoda's period 1
+        def rescan(*args, **kwargs):
+            raise AssertionError("bijection_check enumerated the jumps again")
+
+        monkeypatch.setattr(chains, "enumerate_jumps", rescan)
+        report = run_suite(_small_corpus())
+        assert report.passed, [er.error for er in report.entries]
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             run_suite(Corpus([]))
 
-    def test_entry_error_recorded_suite_continues(self):
+    def test_entry_error_recorded_suite_continues(self, monkeypatch):
         # an impossible budget makes every entry error out, none of which
         # escapes the suite
-        report = run_suite(_small_corpus(), s_max=0)
+        monkeypatch.setattr(testideals, "PHI_STEP_BUDGET", 0)
+        report = run_suite(_small_corpus())
         assert not report.passed
         assert all(er.error is not None for er in report.entries)
 
