@@ -3,12 +3,10 @@ of principal ideals in F_p[x_1..x_n], with exact arithmetic throughout."""
 
 from .chains import (
     ChainTrace,
-    NilClass,
     NilComparison,
     TotalOrderViolation,
     bijection_check,
     chain,
-    nil_class,
     nil_compare,
     psi,
 )
@@ -43,7 +41,6 @@ from .ring import Monomial, Polynomial, RingContext, grevlex_key
 from .testideals import (
     Jump,
     JumpReport,
-    JumpTest,
     ceil_mul,
     check_scaling_law,
     enumerate_jumps,

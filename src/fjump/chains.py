@@ -40,18 +40,26 @@ class ChainTrace:
 
     ``terms[s]`` is C_{s+1}; the list ends with the first repeated value,
     so terms[-1] == terms[-2] and stab_index is the first s with
-    C_s = C_{s+1}.
+    C_s = C_{s+1}. The stable value is the class of (a, beta), and gamma
+    is the exponent whose left limit of tau it equals.
     """
 
     g: Polynomial
     a: int
     beta: int
     terms: list[Ideal]
-    stab_index: int
 
     @property
     def stable(self) -> Ideal:
         return self.terms[-1]
+
+    @property
+    def stab_index(self) -> int:
+        return len(self.terms) - 1
+
+    @property
+    def gamma(self) -> Fraction:
+        return Fraction(self.a, self.g.ctx.p**self.beta - 1)
 
 
 def chain(g: Polynomial, a: int, beta: int) -> ChainTrace:
@@ -69,24 +77,7 @@ def chain(g: Polynomial, a: int, beta: int) -> ChainTrace:
     for s in range(1, len(terms)):
         if not terms[s - 1].contains(terms[s]):
             raise AssertionError(f"chain failed to descend at step {s + 1}; this is a bug")
-    return ChainTrace(g, a, beta, terms, len(terms) - 1)
-
-
-@dataclass
-class NilClass:
-    """A stabilized chain value for parameters (a, beta), with gamma."""
-
-    g: Polynomial
-    a: int
-    beta: int
-    representative: Ideal
-    gamma: Fraction
-
-
-def nil_class(g: Polynomial, a: int, beta: int) -> NilClass:
-    trace = chain(g, a, beta)
-    gamma = Fraction(a, g.ctx.p**beta - 1)
-    return NilClass(g, a, beta, trace.stable, gamma)
+    return ChainTrace(g, a, beta, terms)
 
 
 @dataclass(frozen=True)
@@ -112,12 +103,12 @@ class NilComparison:
         return self.representative_order in ("=", flipped)
 
 
-def nil_compare(n1: NilClass, n2: NilClass) -> NilComparison:
-    """Compare two classes; raises if the representatives are incomparable."""
+def nil_compare(n1: ChainTrace, n2: ChainTrace) -> NilComparison:
+    """Compare two chain classes; raises if the stable values are incomparable."""
     if n1.g != n2.g:
         raise ValueError("classes belong to different polynomials")
     gamma_order = "<" if n1.gamma < n2.gamma else (">" if n1.gamma > n2.gamma else "=")
-    r1, r2 = n1.representative, n2.representative
+    r1, r2 = n1.stable, n2.stable
     if r1 == r2:
         representative_order = "="
     elif r1.contains(r2):
@@ -157,8 +148,7 @@ def bijection_check(g: Polynomial, c: Fraction, next_jump: Fraction | None = Non
         gamma = Fraction(a, den)
         if next_jump is not None and gamma > next_jump:
             continue
-        rep = nil_class(g, a, beta).representative
-        if rep == target:
+        if chain(g, a, beta).stable == target:
             return True
         if next_jump is not None:
             return False

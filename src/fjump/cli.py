@@ -64,10 +64,6 @@ def _emit(args, text: str, obj: dict):
     print(json.dumps(obj, indent=2) if args.json else text)
 
 
-def _ideal_obj(I: Ideal) -> list[str]:
-    return I.generator_strings()
-
-
 def _ideal_text(I: Ideal) -> str:
     return ", ".join(I.generator_strings()) or "0"
 
@@ -81,7 +77,7 @@ def _cmd_froot(args) -> int:
     _emit(
         args,
         _ideal_text(root),
-        {"p": ctx.p, "e": args.e, "f": format_poly(f), "generators": _ideal_obj(root)},
+        {"p": ctx.p, "e": args.e, "f": format_poly(f), "generators": root.generator_strings()},
     )
     return EXIT_OK
 
@@ -94,7 +90,7 @@ def _cmd_tau(args) -> int:
     _emit(
         args,
         _ideal_text(value),
-        {"p": ctx.p, "c": str(c), "f": format_poly(f), "generators": _ideal_obj(value)},
+        {"p": ctx.p, "c": str(c), "f": format_poly(f), "generators": value.generator_strings()},
     )
     return EXIT_OK
 
@@ -104,8 +100,8 @@ def _jump_rows(report: testideals.JumpReport) -> dict:
         "jumps": [
             {
                 "c": str(j.c),
-                "tau_left": _ideal_obj(j.tau_left),
-                "tau_at": _ideal_obj(j.tau_at),
+                "tau_left": j.tau_left.generator_strings(),
+                "tau_at": j.tau_at.generator_strings(),
             }
             for j in report.jumps
         ],
@@ -159,7 +155,7 @@ def _cmd_chain(args) -> int:
             "g": format_poly(g),
             "a": args.a,
             "beta": args.b,
-            "terms": [_ideal_obj(t) for t in trace.terms],
+            "terms": [t.generator_strings() for t in trace.terms],
             "stab_index": trace.stab_index,
         },
     )
@@ -176,14 +172,14 @@ def _cmd_nilcmp(args) -> int:
             pairs.append((int(a_text), int(b_text)))
         except ValueError as err:
             raise _CliError(f"--class expects 'a,beta', got {text!r}", EXIT_USAGE) from err
-    n1 = chains.nil_class(g, *pairs[0])
-    n2 = chains.nil_class(g, *pairs[1])
+    n1 = chains.chain(g, *pairs[0])
+    n2 = chains.chain(g, *pairs[1])
     cmp = chains.nil_compare(n1, n2)
     text = "\n".join(
         [
             f"gamma: {n1.gamma} {cmp.gamma_order} {n2.gamma}",
-            f"representatives: {_ideal_text(n1.representative)} "
-            f"{cmp.representative_order} {_ideal_text(n2.representative)}",
+            f"representatives: {_ideal_text(n1.stable)} "
+            f"{cmp.representative_order} {_ideal_text(n2.stable)}",
             f"direction: {cmp.direction}",
         ]
     )
@@ -194,8 +190,8 @@ def _cmd_nilcmp(args) -> int:
             "gamma": [str(n1.gamma), str(n2.gamma)],
             "gamma_order": cmp.gamma_order,
             "representatives": [
-                _ideal_obj(n1.representative),
-                _ideal_obj(n2.representative),
+                n1.stable.generator_strings(),
+                n2.stable.generator_strings(),
             ],
             "representative_order": cmp.representative_order,
             "direction": cmp.direction,

@@ -75,14 +75,19 @@ class _Scanner:
         self.pos += n
         self.col += n
 
-    def take_uint(self) -> int:
+    def take_uint(self, too_long=ParseError) -> int:
         self.skip_ws()
-        start = self.pos
+        start, line, col = self.pos, self.line, self.col
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.advance(1)
         if self.pos == start:
             self.error("expected an unsigned integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise too_long(
+                f"integer literal of {self.pos - start} digits is too long", line, col
+            ) from None
 
     def take_var(self) -> str:
         self.skip_ws()
@@ -153,7 +158,7 @@ def _parse_term(sc: _Scanner, ctx: RingContext, n: int) -> tuple[Monomial, int]:
         exp = 1
         if sc.peek() == "^":
             sc.advance(1)
-            exp = sc.take_uint()
+            exp = sc.take_uint(ExponentOverflowError)
             if exp > MAX_EXPONENT:
                 sc.error(f"exponent {exp} exceeds limit {MAX_EXPONENT}", ExponentOverflowError)
         exps[ctx.vars.index(name)] += exp

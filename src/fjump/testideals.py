@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digits import BasePExpansion, canonicalize, expand, reconstruct
+from .digits import canonicalize
 from .frobenius import frobenius_root_ideal
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
@@ -143,19 +143,19 @@ def tau(f: Polynomial, c: Fraction) -> Ideal:
 
 
 @dataclass(frozen=True)
-class JumpTest:
-    """Outcome of testing whether c is an F-jumping coefficient of f."""
+class Jump:
+    """The jump test at c: tau just left of c and at c; a jump when they differ."""
 
     c: Fraction
-    jumping: bool
     tau_left: Ideal
     tau_at: Ideal
 
-    def __bool__(self):
-        return self.jumping
+    @property
+    def jumping(self) -> bool:
+        return self.tau_left != self.tau_at
 
 
-def is_jumping(f: Polynomial, c: Fraction) -> JumpTest:
+def is_jumping(f: Polynomial, c: Fraction) -> Jump:
     """Test tau(f^(c-)) != tau(f^c), returning both witness ideals."""
     c = Fraction(c)
     left = tau_left_limit(f, c)
@@ -164,7 +164,7 @@ def is_jumping(f: Polynomial, c: Fraction) -> JumpTest:
         raise AssertionError(
             f"tau left limit fails to contain tau at c={c}; this is a bug"
         )
-    return JumpTest(c, left != at, left, at)
+    return Jump(c, left, at)
 
 
 def _pow_normal_form(f: Polynomial, r: int, I: Ideal) -> Polynomial:
@@ -226,15 +226,6 @@ def nu(f: Polynomial, J: Ideal, e: int) -> int:
     return lo
 
 
-@dataclass(frozen=True)
-class Jump:
-    """A confirmed F-jumping coefficient with its witness ideals."""
-
-    c: Fraction
-    tau_left: Ideal
-    tau_at: Ideal
-
-
 @dataclass
 class JumpReport:
     """All F-jumping coefficients of f in (0, bound], plus leftovers.
@@ -261,31 +252,35 @@ class JumpReport:
 def _interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
     """Exact rationals in ((r-1)/p^e, r/p^e] worth confirming as jumps.
 
-    The interval pins the first e base-p digits of any jump inside it, so
-    the candidates are the right endpoint together with every eventually
-    periodic extension of that digit prefix whose preperiod and period fit
-    inside e digits; those are reconstructed exactly in the shape
-    a/(p^d (p^beta - 1)).
+    The interval pins the first e base-p digits of a jump inside it: those
+    of n = r - 1. The candidates are the right endpoint, then each periodic
+    extension of the digits with preperiod d and period beta, d + beta <= e,
+    ranked by (d + beta, d, value) at the first (d, beta) giving the value.
+    Closed form: if places d..e-1 have period beta, so does the extension,
+    and as d <= e - beta its places past e repeat the last beta places,
+    the number n mod p^beta. The extension is therefore
+
+        (n + (n mod p^beta) / (p^beta - 1)) / p^e,
+
+    a function of beta alone: the left endpoint when n mod p^beta = 0, the
+    right one when it is p^beta - 1, and strictly inside otherwise.
     """
-    lo = Fraction(r - 1, p**e)
-    hi = Fraction(r, p**e)
-    exp_lo = expand(lo, p)
-    prefix = exp_lo.digit_prefix(e)
+    n, q = r - 1, p**e
+    hi = Fraction(r, q)
+    digits = [(n // p ** (e - 1 - i)) % p for i in range(e)]
     seen = {hi}
     ranked: list[tuple[int, int, Fraction]] = []
     for d in range(e):
         for beta in range(1, e - d + 1):
-            guess = prefix[d : d + beta]
-            if any(prefix[i] != guess[(i - d) % beta] for i in range(d, e)):
+            if any(digits[i] != digits[i - beta] for i in range(d + beta, e)):
                 continue
-            value, _ = reconstruct(
-                BasePExpansion(p, exp_lo.integer_part, tuple(prefix[:d]), tuple(guess))
-            )
-            if lo < value <= hi and value not in seen:
+            tail = n % p**beta
+            value = Fraction(n * (p**beta - 1) + tail, q * (p**beta - 1))
+            if tail and value not in seen:
                 seen.add(value)
                 ranked.append((d + beta, d, value))
-    ranked.sort(key=lambda t: (t[0], t[1], t[2]))
-    return [hi] + [t[2] for t in ranked]
+    ranked.sort()
+    return [hi] + [value for _, _, value in ranked]
 
 
 def enumerate_jumps(
@@ -324,14 +319,11 @@ def enumerate_jumps(
 
     while queue:
         e, r, t_lo, t_hi = queue.pop(0)
-        found = None
-        for c in _interval_candidates(p, e, r):
-            jt = is_jumping(f, c)
-            if jt.jumping and jt.tau_left == t_lo and jt.tau_at == t_hi:
-                found = jt
-                break
+        tests = (is_jumping(f, c) for c in _interval_candidates(p, e, r))
+        # t_lo != t_hi, so a test that reproduces both witnesses is a jump
+        found = next((jt for jt in tests if (jt.tau_left, jt.tau_at) == (t_lo, t_hi)), None)
         if found is not None:
-            jumps.append(Jump(found.c, found.tau_left, found.tau_at))
+            jumps.append(found)
             continue
         if e >= depth:
             lo = Fraction(r - 1, p**e)

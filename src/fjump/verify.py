@@ -27,19 +27,6 @@ from .grammar import infer_variables, parse_poly
 from .ideals import Ideal
 from .ring import Polynomial, RingContext
 
-CHECK_NAMES = (
-    "expected_jumps",
-    "localization",
-    "right_constancy",
-    "isolated_jumps",
-    "shift_law",
-    "scale_law",
-    "chain_stabilization",
-    "total_order",
-    "class_bijection",
-)
-
-
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 
@@ -206,136 +193,111 @@ def _random_rational_between(rng: random.Random, lo: Fraction, hi: Fraction) -> 
     return lo + (hi - lo) * Fraction(num, den)
 
 
-def _segments(report: testideals.JumpReport) -> list[tuple[Fraction, Fraction, Ideal]]:
-    """(from, to, tau value) on the constancy gaps between consecutive jumps."""
-    out = []
-    cs = report.jumps
-    for k in range(len(cs) - 1):
-        out.append((cs[k].c, cs[k + 1].c, cs[k].tau_at))
-    return out
-
-
 def _check_entry(entry: CorpusEntry, depth: int, seed: int) -> EntryReport:
     rng = random.Random(f"{seed}:{entry.p}:{entry.f_text}")
     started = time.monotonic()
     er = EntryReport(entry)
+
+    def record(name: str, details: list[str]):
+        er.checks.append(CheckResult(name, not details, "; ".join(details)))
+
     try:
         f = entry.poly()
         p = entry.p
         report = testideals.enumerate_jumps(f, entry.bound, depth)
 
-        if entry.expect_jumps is None:
-            er.checks.append(
-                CheckResult(
-                    "expected_jumps",
-                    report.complete,
-                    "no expected list; requiring a complete enumeration",
-                )
-            )
+        # its detail is never empty, so it keeps a rule of its own
+        expected, got = entry.expect_jumps, tuple(report.coefficients())
+        if expected is None:
+            passed, detail = report.complete, "no expected list; requiring a complete enumeration"
         else:
-            got = tuple(report.coefficients())
-            er.checks.append(
-                CheckResult(
-                    "expected_jumps",
-                    report.complete and got == entry.expect_jumps,
-                    f"expected {[str(c) for c in entry.expect_jumps]}, "
-                    f"got {[str(c) for c in got]}"
-                    + ("" if report.complete else " (incomplete)"),
-                )
-            )
+            passed = report.complete and got == expected
+            detail = f"expected {[str(c) for c in expected]}, got {[str(c) for c in got]}"
+            detail += "" if report.complete else " (incomplete)"
+        er.checks.append(CheckResult("expected_jumps", passed, detail))
+
+        # (previous jump or 0, jump, tau on the gap between them)
+        gaps, last, value = [], Fraction(0), Ideal.unit(f.ctx)
+        for jump in report.jumps:
+            gaps.append((last, jump.c, value))
+            last, value = jump.c, jump.tau_at
 
         # tau(f^c) equals a single Frobenius root just right of each jump
-        ok, details = True, []
-        heads = [(Fraction(0), Ideal.unit(f.ctx))] + [
-            (j.c, j.tau_at) for j in report.jumps[:-1]
-        ]
-        nexts = [j.c for j in report.jumps]
-        for (c, at_value), nxt in zip(heads, nexts):
+        details = []
+        for c, nxt, value in gaps:
             e = 1
             while Fraction(1, p**e) >= (nxt - c) / 2:
                 e += 1
             r = (c.numerator * p**e) // c.denominator + 1
-            if testideals.tau_dyadic(f, r, e) != at_value:
-                ok = False
+            if testideals.tau_dyadic(f, r, e) != value:
                 details.append(f"I_{e}(f^{r}) differs from tau just above {c}")
-        er.checks.append(CheckResult("localization", ok, "; ".join(details)))
+        record("localization", details)
 
-        ok, details = True, []
-        for lo, hi, value in _segments(report):
+        details = []
+        for lo, hi, value in gaps[1:]:
             for _ in range(4):
                 c = _random_rational_between(rng, lo, hi)
                 if testideals.tau(f, c) != value:
-                    ok = False
                     details.append(f"tau not constant at {c} in ({lo}, {hi})")
-        er.checks.append(CheckResult("right_constancy", ok, "; ".join(details)))
+        record("right_constancy", details)
 
-        ok, details = True, []
-        for lo, hi, _ in _segments(report):
+        details = []
+        for lo, hi, _ in gaps[1:]:
             c = _random_rational_between(rng, lo, hi)
-            jt = testideals.is_jumping(f, c)
-            if jt.jumping:
-                ok = False
+            if testideals.is_jumping(f, c).jumping:
                 details.append(f"spurious jump inside ({lo}, {hi}) at {c}")
-        er.checks.append(CheckResult("isolated_jumps", ok, "; ".join(details)))
+        record("isolated_jumps", details)
 
-        ok, details = True, []
+        details = []
         for jump in report.jumps:
             if jump.c > 1 and not testideals.is_jumping(f, jump.c - 1).jumping:
-                ok = False
                 details.append(f"{jump.c} - 1 is not a jump")
-        er.checks.append(CheckResult("shift_law", ok, "; ".join(details)))
+        record("shift_law", details)
 
-        ok, details = True, []
+        details = []
         for jump in report.jumps:
             pc = p * jump.c
             if pc <= report.bound and not testideals.is_jumping(f, pc).jumping:
-                ok = False
                 details.append(f"p*{jump.c} is not a jump")
             wrapped = frac_mod(pc, 1)
             if wrapped > 0 and not testideals.is_jumping(f, wrapped).jumping:
-                ok = False
                 details.append(f"p*{jump.c} mod 1 = {wrapped} is not a jump")
-        er.checks.append(CheckResult("scale_law", ok, "; ".join(details)))
+        record("scale_law", details)
 
-        ok, details = True, []
+        details = []
         classes = []
         for _ in range(4):
             a, beta = rng.randint(1, 2 * p), rng.randint(1, 2)
-            nil = chains.nil_class(f, a, beta)
-            if nil.representative != testideals.tau_left_limit(f, nil.gamma):
-                ok = False
+            cls = chains.chain(f, a, beta)
+            if cls.stable != testideals.tau_left_limit(f, cls.gamma):
                 details.append(f"chain value at (a={a}, beta={beta}) is not the left limit")
-            classes.append(nil)
-        er.checks.append(CheckResult("chain_stabilization", ok, "; ".join(details)))
+            classes.append(cls)
+        record("chain_stabilization", details)
 
-        ok, details = True, []
+        details = []
         for i in range(len(classes)):
             for j in range(i + 1, len(classes)):
                 try:
                     cmp = chains.nil_compare(classes[i], classes[j])
                     if not cmp.consistent:
-                        ok = False
                         details.append(
                             f"gamma order {cmp.gamma_order} vs representative "
                             f"order {cmp.representative_order}"
                         )
                 except chains.TotalOrderViolation as err:
-                    ok = False
                     details.append(str(err))
-        er.checks.append(CheckResult("total_order", ok, "; ".join(details)))
+        record("total_order", details)
 
-        ok, details = True, []
-        cs = report.coefficients()
-        points = list(zip([Fraction(0)] + cs, cs + [None]))
+        details = []
+        successor = None
         if report.complete and report.bound >= 1:
             # jumps of a principal ideal repeat with period 1 (Skoda), so the
             # jump after the last one in (0, bound] is the least j + 1 beyond it
-            points[-1] = (cs[-1], min(j + 1 for j in cs if j + 1 > cs[-1]))
-        for c, nxt in points:
+            successor = min(j.c + 1 for j in report.jumps if j.c + 1 > last)
+        for c, nxt in [(lo, hi) for lo, hi, _ in gaps] + [(last, successor)]:
             if not chains.bijection_check(f, c, nxt):
-                ok = False
                 details.append(f"no chain class realizes tau at {c}")
-        er.checks.append(CheckResult("class_bijection", ok, "; ".join(details)))
+        record("class_bijection", details)
     except Exception as err:  # noqa: BLE001 - the suite records and continues
         er.error = f"{type(err).__name__}: {err}"
     er.seconds = time.monotonic() - started

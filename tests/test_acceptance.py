@@ -20,7 +20,6 @@ from fjump import (
     frobenius_root_ideal,
     frobenius_root_poly,
     is_jumping,
-    nil_class,
     nil_compare,
     nu,
     orbit,
@@ -203,7 +202,7 @@ def test_criterion_07_class_structure():
     targets.append(parse_poly("x^2+y^3", ctx_cusp))
     for g in targets:
         classes = [
-            nil_class(g, rng.randint(0, 10), rng.randint(1, 2)) for _ in range(8)
+            chain(g, rng.randint(0, 10), rng.randint(1, 2)) for _ in range(8)
         ]
         pairs = 0
         for i in range(len(classes)):

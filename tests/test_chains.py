@@ -12,7 +12,6 @@ from fjump import (
     bijection_check,
     chain,
     frobenius_root_poly,
-    nil_class,
     nil_compare,
     psi,
     tau,
@@ -115,31 +114,31 @@ class TestNilClass:
     def test_examples(self):
         ctx = RingContext(2, ("x",))
         x = poly(ctx, "x")
-        n = nil_class(x, 1, 1)
-        assert n.representative == Ideal.unit(ctx) and n.gamma == 1
-        n = nil_class(x, 3, 1)
-        assert n.representative == ideal(ctx, "x^2") and n.gamma == 3
-        n = nil_class(x, 0, 1)
-        assert n.representative == Ideal.unit(ctx) and n.gamma == 0
+        n = chain(x, 1, 1)
+        assert n.stable == Ideal.unit(ctx) and n.gamma == 1
+        n = chain(x, 3, 1)
+        assert n.stable == ideal(ctx, "x^2") and n.gamma == 3
+        n = chain(x, 0, 1)
+        assert n.stable == Ideal.unit(ctx) and n.gamma == 0
 
     def test_representative_is_left_limit(self, ctx7):
         g = poly(ctx7, "x^2 + y^3")
-        n = nil_class(g, 5, 1)
+        n = chain(g, 5, 1)
         assert n.gamma == Fraction(5, 6)
-        assert n.representative == tau_left_limit(g, Fraction(5, 6))
+        assert n.stable == tau_left_limit(g, Fraction(5, 6))
 
 
 class TestNilCompare:
     def test_strict(self):
         ctx = RingContext(2, ("x",))
         x = poly(ctx, "x")
-        cmp = nil_compare(nil_class(x, 1, 1), nil_class(x, 3, 1))
+        cmp = nil_compare(chain(x, 1, 1), chain(x, 3, 1))
         assert cmp.gamma_order == "<" and cmp.representative_order == ">"
         assert cmp.consistent
 
     def test_self(self):
         ctx = RingContext(2, ("x",))
-        n = nil_class(poly(ctx, "x"), 2, 1)
+        n = chain(poly(ctx, "x"), 2, 1)
         cmp = nil_compare(n, n)
         assert cmp.gamma_order == "=" and cmp.representative_order == "="
         assert cmp.consistent
@@ -147,7 +146,7 @@ class TestNilCompare:
     def test_cross_beta(self):
         ctx = RingContext(2, ("x",))
         x = poly(ctx, "x")
-        cmp = nil_compare(nil_class(x, 2, 1), nil_class(x, 3, 2))
+        cmp = nil_compare(chain(x, 2, 1), chain(x, 3, 2))
         assert cmp.gamma_order == ">"  # gamma 2 vs 1
         assert cmp.representative_order in ("<", "=")
         assert cmp.consistent
@@ -158,7 +157,7 @@ class TestNilCompare:
             ctx = RingContext(p, ("x", "y"))
             g = poly(ctx, "x^2 + y^3")
             classes = [
-                nil_class(g, rng.randint(0, 2 * p), rng.randint(1, 2))
+                chain(g, rng.randint(0, 2 * p), rng.randint(1, 2))
                 for _ in range(5)
             ]
             for i in range(len(classes)):
@@ -167,8 +166,8 @@ class TestNilCompare:
                     assert cmp.consistent
 
     def test_different_polynomials_rejected(self, ctx2):
-        n1 = nil_class(poly(ctx2, "x"), 1, 1)
-        n2 = nil_class(poly(ctx2, "y"), 1, 1)
+        n1 = chain(poly(ctx2, "x"), 1, 1)
+        n2 = chain(poly(ctx2, "y"), 1, 1)
         with pytest.raises(ValueError):
             nil_compare(n1, n2)
 

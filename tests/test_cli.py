@@ -117,6 +117,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "froot", "-p", "2", "x^²")
         assert code == 3 and "line 1, column 3" in err
 
+    @pytest.mark.parametrize(
+        "text", ["x^" + "9" * 5000, "9" * 5000 + "x"], ids=["exponent", "coefficient"]
+    )
+    def test_parse_error_overlong_literal(self, capsys, text):
+        code, _, err = run(capsys, "froot", "-p", "2", text)
+        assert code == 3 and "too long" in err
+
     @pytest.mark.parametrize("p", ["4", "1", "65537"])
     def test_orbit_needs_prime(self, capsys, p):
         code, _, err = run(capsys, "orbit", "-p", p, "1/3")

@@ -75,6 +75,15 @@ class TestParseErrors:
         with pytest.raises(ExponentOverflowError):
             parse_poly(f"x^{1 << 63}", ctx2)
 
+    def test_overlong_literals(self, ctx2):
+        # past int()'s digit limit: a parse error at the literal, not a bare ValueError
+        with pytest.raises(ExponentOverflowError) as err:
+            parse_poly("x^" + "9" * 5000, ctx2)
+        assert (err.value.line, err.value.col) == (1, 3)
+        with pytest.raises(ParseError) as err:
+            parse_poly("x +\n " + "9" * 5000 + "y", ctx2)
+        assert (err.value.line, err.value.col) == (2, 2)
+
     def test_empty(self, ctx2):
         with pytest.raises(ParseError):
             parse_poly("", ctx2)

@@ -409,6 +409,27 @@ class TestEnumerateHarder:
             assert tau_dyadic(f, r, E) == expected, c
 
 
+class TestIntervalCandidates:
+    @pytest.mark.parametrize("p, e_max", [(2, 6), (3, 4), (5, 4)])
+    def test_brute_force_oracle(self, p, e_max):
+        # every a/(p^d (p^beta - 1)) strictly inside ((r-1)/p^e, r/p^e] with
+        # d + beta <= e, found by brute force over a, ranked by its least
+        # (d + beta, d) and then by value; the right endpoint comes first
+        for e in range(1, e_max + 1):
+            q = p**e
+            for r in range(1, 2 * q + 1):
+                lo, hi = Fraction(r - 1, q), Fraction(r, q)
+                least = {}
+                for total in range(1, e + 1):
+                    for d in range(total):
+                        den = p**d * (p ** (total - d) - 1)
+                        for a in range(math.floor(lo * den) + 1, math.ceil(hi * den)):
+                            least.setdefault(Fraction(a, den), (total, d))
+                expected = sorted(least, key=lambda v: (*least[v], v))
+                got = testideals._interval_candidates(p, e, r)
+                assert got == [hi] + expected, (p, e, r)
+
+
 class TestScalingLaw:
     def test_monomial(self):
         ctx = RingContext(2, ("x",))
