@@ -41,7 +41,6 @@ from .ring import Monomial, Polynomial, RingContext, grevlex_key
 from .testideals import (
     Jump,
     JumpReport,
-    ceil_mul,
     check_scaling_law,
     enumerate_jumps,
     is_jumping,

@@ -1,8 +1,9 @@
 """Command-line front end: the ``fjump`` tool.
 
-Exit codes: 0 success, 2 usage error, 3 polynomial or rational parse
-error, 4 computation budget exceeded, 5 verification failure. A reader
-that closes standard output early is not an error: the run ends with 0.
+Exit codes: 0 success, 1 internal error (a violated kernel invariant,
+which is a bug), 2 usage error, 3 polynomial or rational parse error,
+4 computation budget exceeded, 5 verification failure. A reader that
+closes standard output early is not an error: the run ends with 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .ideals import BudgetExceededError, Ideal
 from .ring import MAX_CHAR, Polynomial, RingContext, is_prime
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
@@ -34,9 +36,9 @@ class _CliError(Exception):
         self.code = code
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str, name: str) -> Fraction:
     try:
-        return verify.parse_rational(text)
+        return verify.parse_rational(text, name)
     except ValueError as err:
         raise _CliError(str(err), EXIT_PARSE) from err
 
@@ -85,7 +87,7 @@ def _cmd_froot(args) -> int:
 def _cmd_tau(args) -> int:
     ctx = _context(args)
     f = _poly(args, ctx)
-    c = _rational(args.c)
+    c = _rational(args.c, "-c")
     value = testideals.tau(f, c)
     _emit(
         args,
@@ -112,7 +114,7 @@ def _jump_rows(report: testideals.JumpReport) -> dict:
 def _cmd_jumps(args) -> int:
     ctx = _context(args)
     f = _poly(args, ctx)
-    bound = _rational(args.B)
+    bound = _rational(args.B, "-B")
     report = testideals.enumerate_jumps(f, bound, args.depth)
     lines = [
         f"{j.c}: {_ideal_text(j.tau_left)} -> {_ideal_text(j.tau_at)}"
@@ -127,10 +129,7 @@ def _cmd_fpt(args) -> int:
     ctx = _context(args)
     f = _poly(args, ctx)
     report = testideals.enumerate_jumps(f, Fraction(1), args.depth)
-    first_unresolved = report.unresolved[0] if report.unresolved else None
-    if report.jumps and (
-        first_unresolved is None or report.jumps[0].c <= first_unresolved[0]
-    ):
+    if report.jumps and all(report.jumps[0].c <= lo for lo, _ in report.unresolved):
         c = report.jumps[0].c
         _emit(args, str(c), {"p": ctx.p, "f": format_poly(f), "fpt": str(c)})
         return EXIT_OK
@@ -201,7 +200,7 @@ def _cmd_nilcmp(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    s = _rational(args.rational)
+    s = _rational(args.rational, "rational")
     if not (args.p < MAX_CHAR and is_prime(args.p)):
         raise _CliError(f"need a prime -p below {MAX_CHAR}", EXIT_USAGE)
     try:
@@ -338,6 +337,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"fjump: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except (AssertionError, chains.TotalOrderViolation) as err:
+        print(f"fjump: internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so that the
         # interpreter's final flush of what is still buffered stays quiet

@@ -32,6 +32,7 @@ the chain stationary forever: the fixed point is a rigorous stopping rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,15 +44,6 @@ from .ring import Polynomial
 PHI_STEP_BUDGET = 64
 DEFAULT_DEPTH = 4
 NU_EXPONENT_BUDGET = 1 << 20
-
-
-def ceil_mul(c: Fraction, p: int, e: int) -> int:
-    """Exact ceiling of c * p**e."""
-    c = Fraction(c)
-    if c < 0 or e < 0:
-        raise ValueError("need c >= 0 and e >= 0")
-    n = c.numerator * p**e
-    return -((-n) // c.denominator)
 
 
 def _require_nonzero(f: Polynomial):
@@ -235,9 +227,7 @@ class JumpReport:
     list means the jump list is complete on (0, bound].
     """
 
-    f: Polynomial
     bound: Fraction
-    depth: int
     jumps: list[Jump] = field(default_factory=list)
     unresolved: list[tuple[Fraction, Fraction]] = field(default_factory=list)
 
@@ -283,18 +273,39 @@ def _interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
     return [hi] + [value for _, _, value in ranked]
 
 
+def _drops(f: Polynomial, e: int, lo: int, hi: int, t_lo: Ideal, t_hi: Ideal) -> list:
+    """Each r in (lo, hi] where I_e(f^r) drops, as (e, r, I_e(f^(r-1)), I_e(f^r)).
+
+    r -> I_e(f^r) is monotone, so equal values t_lo, t_hi at the two ends of
+    a range rule out a drop inside; any other range is halved at a root
+    taken at its midpoint. A work list, popped left half first, keeps r
+    increasing and a range of any width off the call stack.
+    """
+    drops, work = [], [(lo, hi, t_lo, t_hi)]
+    while work:
+        lo, hi, t_lo, t_hi = work.pop()
+        if t_lo == t_hi:
+            continue
+        if hi - lo == 1:
+            drops.append((e, hi, t_lo, t_hi))
+            continue
+        mid = (lo + hi) // 2
+        t_mid = tau_dyadic(f, mid, e)
+        work += [(mid, hi, t_mid, t_hi), (lo, mid, t_lo, t_mid)]
+    return drops
+
+
 def enumerate_jumps(
     f: Polynomial, bound: Fraction, depth: int = DEFAULT_DEPTH
 ) -> JumpReport:
     """Find every F-jumping coefficient of f in (0, bound].
 
-    A level-e scan over I_e(f^r) localizes jumps to p-adic intervals of
-    width 1/p^e; flagged intervals are either resolved (some candidate c
-    satisfies is_jumping with tau_left matching the left endpoint value and
-    tau_at matching the right endpoint value, which certifies c is the only
-    jump in the interval) or refined one level deeper, up to ``depth``.
-    Reported jumps are always confirmed exactly; intervals that survive to
-    the maximum depth are returned as unresolved rather than dropped.
+    ``_drops`` bisects for each r in 1..ceil(bound p) where I_1(f^r) drops.
+    The interval ((r-1)/p^e, r/p^e] of a drop is resolved when a candidate
+    c passes is_jumping with both witnesses equal to its end values, which
+    certifies c as its only jump; otherwise its p children one level deeper
+    are bisected from those end values, up to ``depth``, where what is left
+    is returned as unresolved. Reported jumps are always confirmed exactly.
     """
     _require_nonzero(f)
     if f.is_constant():
@@ -308,14 +319,8 @@ def enumerate_jumps(
 
     jumps: list[Jump] = []
     unresolved: list[tuple[Fraction, Fraction]] = []
-    queue: list[tuple[int, int, Ideal, Ideal]] = []
-
-    prev = Ideal.unit(f.ctx)
-    for r in range(1, ceil_mul(bound, p, 1) + 1):
-        cur = tau_dyadic(f, r, 1)
-        if cur != prev:
-            queue.append((1, r, prev, cur))
-        prev = cur
+    top = math.ceil(bound * p)
+    queue = _drops(f, 1, 0, top, Ideal.unit(f.ctx), tau_dyadic(f, top, 1))
 
     while queue:
         e, r, t_lo, t_hi = queue.pop(0)
@@ -325,31 +330,21 @@ def enumerate_jumps(
         if found is not None:
             jumps.append(found)
             continue
-        if e >= depth:
-            lo = Fraction(r - 1, p**e)
-            hi = Fraction(r, p**e)
-            if lo < bound:
-                unresolved.append((lo, min(hi, bound)))
-            continue
-        sub = prev_sub = t_lo
-        base = (r - 1) * p
-        for r2 in range(base + 1, base + p + 1):
-            sub = t_hi if r2 == base + p else tau_dyadic(f, r2, e + 1)
-            if sub != prev_sub:
-                queue.append((e + 1, r2, prev_sub, sub))
-            prev_sub = sub
+        if e < depth:
+            queue.extend(_drops(f, e + 1, (r - 1) * p, r * p, t_lo, t_hi))
+        elif Fraction(r - 1, p**e) < bound:
+            unresolved.append((Fraction(r - 1, p**e), min(Fraction(r, p**e), bound)))
 
     jumps = [j for j in jumps if j.c <= bound]
     jumps.sort(key=lambda j: j.c)
     unresolved.sort()
-    for k in range(len(jumps) - 1):
-        a, b = jumps[k], jumps[k + 1]
+    for a, b in zip(jumps, jumps[1:]):
         between = any(a.c < lo < b.c or a.c <= hi < b.c for lo, hi in unresolved)
         if not between and a.tau_at != b.tau_left:
             raise AssertionError(
                 f"tau fails to chain between jumps {a.c} and {b.c}; this is a bug"
             )
-    return JumpReport(f, bound, depth, jumps, unresolved)
+    return JumpReport(bound, jumps, unresolved)
 
 
 def check_scaling_law(f: Polynomial, report: JumpReport) -> bool:

@@ -30,16 +30,19 @@ from .ring import Polynomial, RingContext
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 
-def parse_rational(text) -> Fraction:
-    """Exact rational from an int or an ASCII 'num' / 'num/den' string."""
+def parse_rational(text, name: str = "rational") -> Fraction:
+    """Exact rational from an int or an ASCII 'num' / 'num/den' string; errors name it."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     match = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
     if match is None:
-        raise ValueError(f"not an exact rational: {text!r}")
-    num, den = int(match.group(1)), int(match.group(2) or 1)
+        raise ValueError(f"{name}: not an exact rational: {text!r}")
+    try:
+        num, den = int(match.group(1)), int(match.group(2) or 1)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"{name}: literal of {len(text)} characters is too long") from None
     if den == 0:
-        raise ValueError(f"zero denominator: {text!r}")
+        raise ValueError(f"{name}: zero denominator: {text!r}")
     return Fraction(num, den)
 
 
@@ -94,12 +97,12 @@ def _entry_from_row(row: dict, index: int) -> CorpusEntry:
     if not isinstance(row["f"], str):
         raise ValueError(f"corpus entry {index}: f must be a string")
     try:
-        bound = parse_rational(row["B"])
+        bound = parse_rational(row["B"], "B")
         expect = row.get("expect_jumps")
         if expect is not None:
             if not isinstance(expect, list):
                 raise ValueError(f"expect_jumps must be a list, got {expect!r}")
-            expect = tuple(sorted(parse_rational(x) for x in expect))
+            expect = tuple(sorted(parse_rational(x, "expect_jumps") for x in expect))
         entry = CorpusEntry(row["p"], row["f"], bound, expect)
         entry.poly()  # validate the prime and the polynomial text now
     except ValueError as err:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fjump import testideals
+from fjump import Ideal, chains, testideals
 from fjump.cli import main
 
 
@@ -124,6 +124,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "froot", "-p", "2", text)
         assert code == 3 and "too long" in err
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["tau", "-p", "2", "-c", "9" * 5000, "x"], "-c"),
+            (["jumps", "-p", "2", "-B", "9" * 5000, "x"], "-B"),
+            (["orbit", "-p", "3", "9" * 5000], "rational"),
+        ],
+        ids=["tau", "jumps", "orbit"],
+    )
+    def test_parse_error_overlong_rational(self, capsys, argv, name):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err == f"fjump: {name}: literal of 5000 characters is too long\n"
+
+    def test_overlong_corpus_rational(self, capsys, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"p": 2, "f": "x", "B": "%s"}\n' % ("9" * 5000))
+        code, _, err = run(capsys, "verify", "--corpus", str(path))
+        assert code == 2
+        assert err == (
+            "fjump: corpus entry 0: B: literal of 5000 characters is too long\n"
+        )
+
     @pytest.mark.parametrize("p", ["4", "1", "65537"])
     def test_orbit_needs_prime(self, capsys, p):
         code, _, err = run(capsys, "orbit", "-p", p, "1/3")
@@ -137,6 +160,27 @@ class TestExitCodes:
         monkeypatch.setattr(testideals, "PHI_STEP_BUDGET", 0)
         code, _, err = run(capsys, "tau", "-p", "2", "-c", "2/3", "x+y^3")
         assert code == 4 and "stabilize" in err
+
+    def test_internal_error_total_order(self, capsys, monkeypatch):
+        def incomparable(n1, n2):
+            raise chains.TotalOrderViolation("representatives are not comparable")
+
+        monkeypatch.setattr(chains, "nil_compare", incomparable)
+        code, out, err = run(
+            capsys, "nilcmp", "-p", "2", "--class", "1,1", "--class", "3,1", "x"
+        )
+        assert code == 1 and out == ""
+        assert err == "fjump: internal error: representatives are not comparable\n"
+
+    def test_internal_error_assertion(self, capsys, monkeypatch):
+        # a left limit that fails to contain tau trips the kernel's own check
+        monkeypatch.setattr(
+            testideals, "tau_left_limit", lambda f, c: Ideal(f.ctx, (f**4,))
+        )
+        code, out, err = run(capsys, "jumps", "-p", "2", "-B", "1", "x")
+        assert code == 1 and out == ""
+        assert err.startswith("fjump: internal error: tau left limit fails to contain")
+        assert err.endswith("this is a bug\n") and err.count("\n") == 1
 
     def test_verify_depth_zero(self, capsys):
         code, out, err = run(capsys, "verify", "--depth", "0")

@@ -9,7 +9,6 @@ from fjump import (
     Ideal,
     Polynomial,
     RingContext,
-    ceil_mul,
     parse_poly,
     check_scaling_law,
     enumerate_jumps,
@@ -63,20 +62,6 @@ def monomial_jump_set(f, bound):
             out.add(Fraction(k, d))
             k += 1
     return sorted(out)
-
-
-class TestCeilMul:
-    @pytest.mark.parametrize(
-        "c,p,e,out",
-        [
-            (Fraction(5, 6), 7, 1, 6),
-            (Fraction(1, 2), 3, 2, 5),
-            (Fraction(2), 2, 3, 16),
-            (Fraction(0), 5, 4, 0),
-        ],
-    )
-    def test_values(self, c, p, e, out):
-        assert ceil_mul(c, p, e) == out
 
 
 class TestTauDyadic:
@@ -206,7 +191,7 @@ class TestTau:
             c = Fraction(rng.randint(1, 20), rng.randint(1, 12))
             prev = None
             for e in (1, 2, 3, 4):
-                cur = tau_dyadic(f, ceil_mul(c, 2, e), e)
+                cur = tau_dyadic(f, math.ceil(c * 2**e), e)
                 if prev is not None:
                     assert cur.contains(prev)
                 prev = cur
@@ -407,6 +392,81 @@ class TestEnumerateHarder:
             below = [j for j in report.jumps if j.c <= c]
             expected = below[-1].tau_at if below else Ideal.unit(ctx)
             assert tau_dyadic(f, r, E) == expected, c
+
+
+class TestScan:
+    def test_cusp_fpt_closed_form(self):
+        # F-pure threshold of x^2+y^3 for p > 3: 5/6 when p = 1 mod 6,
+        # else (5p - 1)/(6p)
+        for p in range(5, 100):
+            if any(p % k == 0 for k in range(2, p)):
+                continue
+            ctx = RingContext(p, ("x", "y"))
+            report = enumerate_jumps(poly(ctx, "x^2+y^3"), Fraction(1))
+            expected = Fraction(5, 6) if p % 6 == 1 else Fraction(5 * p - 1, 6 * p)
+            assert report.complete, p
+            assert report.coefficients() == [expected, Fraction(1)], p
+
+    @pytest.mark.parametrize(
+        "p,text,e,bound",
+        [
+            (2, "x^5+y^7", 3, Fraction(2, 3)),
+            (3, "x^2y+y^4", 2, Fraction(5, 2)),
+            (5, "x^2+y^3", 1, Fraction(3)),
+            (5, "x^2+y^3", 2, Fraction(7, 5)),
+            (7, "x^5+y^7", 2, Fraction(1, 2)),
+        ],
+    )
+    def test_drops_match_linear_scan(self, p, text, e, bound):
+        ctx = RingContext(p, ("x", "y"))
+        f = poly(ctx, text)
+        top = math.ceil(bound * p**e)
+        values = [tau_dyadic(f, r, e) for r in range(top + 1)]
+        linear = [
+            (e, r, values[r - 1], values[r])
+            for r in range(1, top + 1)
+            if values[r - 1] != values[r]
+        ]
+        assert linear
+        assert testideals._drops(f, e, 0, top, values[0], values[top]) == linear
+        lo = top // 3
+        inner = [d for d in linear if d[1] > lo]
+        assert testideals._drops(f, e, lo, top, values[lo], values[top]) == inner
+
+    def test_wide_range_without_recursion(self, ctx2, monkeypatch):
+        # one drop, at r = step, somewhere in (0, 2^3000]
+        f = poly(ctx2, "x")
+        unit, m = Ideal.unit(ctx2), ideal(ctx2, "x", "y")
+        step = 2**2999 + 12345
+        calls = []
+
+        def one_step(f, r, e):
+            calls.append(r)
+            return unit if r < step else m
+
+        monkeypatch.setattr(testideals, "tau_dyadic", one_step)
+        drops = testideals._drops(f, 1, 0, 2**3000, unit, m)
+        assert drops == [(1, step, unit, m)]
+        assert len(calls) == 3000
+
+    def test_cusp_scan_roots_are_logarithmic(self, monkeypatch):
+        # x^2+y^3 at p = 103 drops twice in (0, 103] at level 1, and both
+        # candidates resolve there; each drop lies at the end of at most
+        # ceil(log2 103) = 7 halvings, so the scan takes at most 2 * 7 roots
+        # plus one at the top, where a linear scan takes 102 or more
+        ctx = RingContext(103, ("x", "y"))
+        f = poly(ctx, "x^2+y^3")
+        calls = []
+        real = testideals.tau_dyadic
+
+        def counted(f, r, e):
+            calls.append((r, e))
+            return real(f, r, e)
+
+        monkeypatch.setattr(testideals, "tau_dyadic", counted)
+        report = enumerate_jumps(f, Fraction(1))
+        assert report.coefficients() == [Fraction(5, 6), Fraction(1)]
+        assert len(calls) <= 2 * 7 + 1
 
 
 class TestIntervalCandidates:

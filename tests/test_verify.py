@@ -19,11 +19,19 @@ class TestParseRational:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
-
     @pytest.mark.parametrize("bad", ["١/٢", "²", "--1", "1 / 2", True, False])
     def test_rejects_non_ascii_and_bool(self, bad):
         with pytest.raises(ValueError, match="not an exact rational"):
             parse_rational(bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["9" * 5000, "1/" + "7" * 4999], ids=["numerator", "denominator"]
+    )
+    def test_overlong(self, bad):
+        # more digits than int() converts by default
+        with pytest.raises(ValueError) as err:
+            parse_rational(bad, "-c")
+        assert str(err.value) == f"-c: literal of {len(bad)} characters is too long"
 
 
 class TestCorpus:
@@ -67,7 +75,7 @@ class TestCorpus:
     def test_bool_bound(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"p": 2, "f": "x", "B": true}\n')
-        with pytest.raises(ValueError, match="entry 0: not an exact rational"):
+        with pytest.raises(ValueError, match="entry 0: B: not an exact rational"):
             load_corpus(str(path))
 
     @pytest.mark.parametrize("expect", ['"15"', '{"1": 0}', "1"])
@@ -76,6 +84,18 @@ class TestCorpus:
         path.write_text('{"p": 2, "f": "x", "B": "1", "expect_jumps": %s}\n' % expect)
         with pytest.raises(ValueError, match="expect_jumps must be a list"):
             load_corpus(str(path))
+
+    @pytest.mark.parametrize("key", ["B", "expect_jumps"])
+    def test_overlong_rational_names_field(self, tmp_path, key):
+        long = '"%s"' % ("9" * 5000)
+        row = {"B": f'"B": {long}', "expect_jumps": f'"B": "1", "expect_jumps": ["1", {long}]'}
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"p": 2, "f": "x", %s}\n' % row[key])
+        with pytest.raises(ValueError) as err:
+            load_corpus(str(path))
+        assert str(err.value) == (
+            f"corpus entry 0: {key}: literal of 5000 characters is too long"
+        )
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.jsonl"
