@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import accumulate
 
 Monomial = tuple[int, ...]
 
@@ -231,23 +232,57 @@ class Polynomial:
             _canonical=True,
         )
 
-    def _small_pow(self, r: int) -> Polynomial:
-        result = Polynomial.one(self.ctx)
-        base = self
-        while r:
-            if r & 1:
-                result = result * base
-            r >>= 1
-            if r:
-                base = base * base
-        return result
+    def _small_pow(self, d: int) -> Polynomial:
+        """f**d for a digit 0 <= d < p, by the multinomial theorem.
+
+        For d < p every d!/(a_1!...a_k!) is a unit mod p, so f**d is summed
+        term by term over the splits d = a_1 + ... + a_k; the cost is the
+        number of splits.
+        """
+        ctx, p = self.ctx, self.ctx.p
+        if not 0 <= d < p:
+            raise ValueError(f"digit power needs 0 <= d < p = {p}, got {d}")
+        if d == 0:
+            return Polynomial.one(ctx)
+        if d == 1 or not self.terms:
+            return self
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return Polynomial(ctx, {tuple(e * d for e in m): pow(c, d, p)}, _canonical=True)
+        fact = list(accumulate(range(1, d + 1), lambda a, i: a * i % p, initial=1))
+        inv_fact = [0] * d + [pow(fact[d], -1, p)]
+        for i in range(d, 0, -1):
+            inv_fact[i - 1] = inv_fact[i] * i % p
+        rows = []  # rows[j][a] = c_j^a x^(a m_j) / a!
+        for m, c in self.terms.items():
+            row, ca = [], 1
+            for a, inv in enumerate(inv_fact):
+                row.append((tuple([e * a for e in m]), ca * inv % p))
+                ca = ca * c % p
+            rows.append(row)
+        last = rows.pop()
+        out: dict[Monomial, int] = {}
+        # (next term, exponent left, partial monomial, partial coefficient);
+        # the last term takes whatever exponent is left
+        stack = [(0, d, (0,) * ctx.nvars, fact[d])]
+        while stack:
+            j, r, mono, coeff = stack.pop()
+            for a in range(r + 1):
+                m, c = rows[j][a]
+                if j + 1 < len(rows):
+                    stack.append((j + 1, r - a, tuple(map(sum, zip(mono, m))), coeff * c % p))
+                else:
+                    m2, c2 = last[r - a]
+                    key = tuple(map(sum, zip(mono, m, m2)))
+                    out[key] = out.get(key, 0) + coeff * c * c2
+        return Polynomial(ctx, {m: c % p for m, c in out.items() if c % p}, _canonical=True)
 
     def __pow__(self, r: int) -> Polynomial:
-        """Binary exponentiation, splitting off Frobenius powers base p.
+        """f**r as the product of (f**d_i)**(p**i) over the base-p digits d_i.
 
-        f**r is assembled as the product of (f**d_i)**(p**i) over the base-p
-        digits d_i of r; each p-power factor is a cheap exponent stretch, so
-        intermediate blowup stays proportional to the size of the result.
+        Each digit power comes from the multinomial theorem and each p-power
+        factor is a cheap exponent stretch, so intermediate blowup stays
+        proportional to the size of the result.
         """
         if r < 0:
             raise ValueError("negative exponent")

@@ -128,6 +128,8 @@ def load_corpus(path: str | None = None) -> Corpus:
             rows.append((json.loads(line), i))
         except json.JSONDecodeError as err:
             raise ValueError(f"corpus entry {i}: invalid JSON: {err}") from err
+        except ValueError:  # a number with more digits than int() converts
+            raise ValueError(f"corpus entry {i}: a JSON integer is too long to convert") from None
     if not rows:
         raise ValueError(f"corpus file {path!r} contains no entries")
     return Corpus([_entry_from_row(row, i) for row, i in rows])

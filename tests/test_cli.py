@@ -32,6 +32,12 @@ class TestGoldenExamples:
         code, out, _ = run(capsys, "tau", "-p", "1009", "-c", "5/6", "x^2+y^3")
         assert code == 0 and out == "x, y"
 
+    def test_jumps_cusp_large_prime(self, capsys):
+        # each scan root raises f to a base-p digit up to 1008
+        code, out, _ = run(capsys, "jumps", "-p", "1009", "-B", "1", "x^2+y^3")
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == ["5/6", "1"]
+
 
 class TestJsonOutput:
     def test_froot_json(self, capsys):
@@ -146,6 +152,13 @@ class TestExitCodes:
         assert err == (
             "fjump: corpus entry 0: B: literal of 5000 characters is too long\n"
         )
+
+    def test_overlong_corpus_json_integer(self, capsys, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"p": 2, "f": "x", "B": 1}\n{"p": 2, "f": "x", "B": %s}\n' % ("9" * 5000))
+        code, _, err = run(capsys, "verify", "--corpus", str(path))
+        assert code == 2
+        assert err == "fjump: corpus entry 1: a JSON integer is too long to convert\n"
 
     @pytest.mark.parametrize("p", ["4", "1", "65537"])
     def test_orbit_needs_prime(self, capsys, p):

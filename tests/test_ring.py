@@ -116,6 +116,66 @@ class TestRingAxioms:
             assert f.frobenius_stretch(e) == f ** (5**e)
 
 
+def _powers_by_multiplication(f: Polynomial, count: int) -> list[Polynomial]:
+    """[f**0, ..., f**(count - 1)], each one multiplication from the last."""
+    powers = [Polynomial.one(f.ctx)]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * f)
+    return powers
+
+
+class TestDigitPower:
+    """_small_pow and __pow__ against plain repeated multiplication."""
+
+    # the cost is the number of splits of d over the k terms, about
+    # d^(k-1)/(k-1)!, summed over every d < p
+    @pytest.mark.parametrize(
+        "p,max_terms,cases", [(2, 5, 12), (3, 5, 12), (5, 5, 12), (7, 5, 12), (13, 5, 12), (101, 3, 10)]
+    )
+    def test_small_pow_random(self, p, max_terms, cases):
+        rng = random.Random(p)
+        for _ in range(cases):
+            ctx = RingContext(p, ("x", "y", "z")[: rng.randint(1, 3)])
+            # small exponents make product monomials collide
+            f = random_poly(rng, ctx, max_terms=max_terms, max_exp=rng.choice([1, 2, 4]))
+            for d, expected in enumerate(_powers_by_multiplication(f, p)):
+                assert f._small_pow(d) == expected, (f, d)
+
+    @pytest.mark.parametrize(
+        "p,text,d,expected",
+        [
+            # (x+y)^4 at p=3: the x^2y^2 products sum to 6 = 0
+            (3, "x^2+2xy+y^2", 2, "x^4+x^3y+xy^3+y^4"),
+            # (1+x)^6 = (1+x^5)(1+x) at p=5
+            (5, "1+2x+x^2", 3, "1+x+x^5+x^6"),
+            # (x+y)^9 = (x^7+y^7)(x+y)^2 at p=7
+            (7, "x^3+3x^2y+3xy^2+y^3", 3, "x^9+2x^8y+x^7y^2+x^2y^7+2xy^8+y^9"),
+        ],
+    )
+    def test_small_pow_cancellation(self, p, text, d, expected):
+        ctx = RingContext(p, ("x", "y"))
+        f = poly(ctx, text)
+        assert f._small_pow(d) == poly(ctx, expected)
+
+    def test_small_pow_rejects_large_digit(self, ctx5):
+        f = poly(ctx5, "x+y")
+        with pytest.raises(ValueError):
+            f._small_pow(5)
+        with pytest.raises(ValueError):
+            f._small_pow(-1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_pow_beyond_p(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(3):
+            ctx = RingContext(p, ("x", "y", "z")[: rng.randint(1, 3)])
+            # the oracle takes p^3 - 1 products of growing size
+            f = random_poly(rng, ctx, max_terms=2 if p == 7 else 3, max_exp=2)
+            powers = _powers_by_multiplication(f, p**3)
+            for r in range(p, p**3):
+                assert f**r == powers[r], (f, r)
+
+
 def test_hash_consistency(ctx3):
     a = poly(ctx3, "x + 2y")
     b = poly(ctx3, "2y + x")

@@ -398,7 +398,7 @@ class TestScan:
     def test_cusp_fpt_closed_form(self):
         # F-pure threshold of x^2+y^3 for p > 3: 5/6 when p = 1 mod 6,
         # else (5p - 1)/(6p)
-        for p in range(5, 100):
+        for p in range(5, 200):
             if any(p % k == 0 for k in range(2, p)):
                 continue
             ctx = RingContext(p, ("x", "y"))

@@ -144,6 +144,13 @@ class TestRunSuite:
         b = run_suite(corpus, seed=0)
         assert a.stable_hash() == b.stable_hash()
 
+    def test_default_suite_golden_hash(self):
+        # the answers of the whole kernel on the built-in corpus; a change of
+        # this digest is a change of answer, never a refactor
+        assert run_suite().stable_hash() == (
+            "08aea34594bf9ff983e64ecbf883d31376a7a79eda1853d3da28103fdb1cc238"
+        )
+
     def test_concurrent_matches_serial(self):
         corpus = _small_corpus()
         serial = run_suite(corpus, seed=0)
