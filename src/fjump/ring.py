@@ -80,6 +80,16 @@ def _check_same_context(a: Polynomial, b: Polynomial):
         raise ValueError(f"ring context mismatch: {a.ctx!r} vs {b.ctx!r}")
 
 
+def _shifted_sum(parts, p: int) -> dict[Monomial, int]:
+    """The terms of sum c * x^m * g over (m, c, terms of g) in parts, mod p."""
+    out: dict[Monomial, int] = {}
+    for m, c, g in parts:
+        for mono, coeff in g.items():
+            key = tuple([e1 + e2 for e1, e2 in zip(mono, m)])
+            out[key] = out.get(key, 0) + c * coeff
+    return {mono: c % p for mono, c in out.items() if c % p}
+
+
 class Polynomial:
     """Sparse multivariate polynomial over F_p.
 
@@ -233,11 +243,12 @@ class Polynomial:
         )
 
     def _small_pow(self, d: int) -> Polynomial:
-        """f**d for a digit 0 <= d < p, by the multinomial theorem.
+        """f**d for a digit 0 <= d < p, adding one term of f at a time.
 
-        For d < p every d!/(a_1!...a_k!) is a unit mod p, so f**d is summed
-        term by term over the splits d = a_1 + ... + a_k; the cost is the
-        number of splits.
+        As d < p, S[r] = g**r / r! exists for the sum g of the terms added so
+        far and every r <= d. Adding t gives S'[r] = sum_a t**a/a! * S[r - a]
+        (the multinomial theorem) = (g + t) * S'[r - 1] / r; each S'[r] uses
+        the one with fewer monomial products, and equal monomials merge.
         """
         ctx, p = self.ctx, self.ctx.p
         if not 0 <= d < p:
@@ -253,36 +264,35 @@ class Polynomial:
         inv_fact = [0] * d + [pow(fact[d], -1, p)]
         for i in range(d, 0, -1):
             inv_fact[i - 1] = inv_fact[i] * i % p
-        rows = []  # rows[j][a] = c_j^a x^(a m_j) / a!
-        for m, c in self.terms.items():
+        terms = list(self.terms.items())
+        rows = []  # rows[j][a] = (a m_j, c_j^a / a!) for the term c_j x^m_j
+        for m, c in terms:
             row, ca = [], 1
             for a, inv in enumerate(inv_fact):
                 row.append((tuple([e * a for e in m]), ca * inv % p))
                 ca = ca * c % p
             rows.append(row)
-        last = rows.pop()
-        out: dict[Monomial, int] = {}
-        # (next term, exponent left, partial monomial, partial coefficient);
-        # the last term takes whatever exponent is left
-        stack = [(0, d, (0,) * ctx.nvars, fact[d])]
-        while stack:
-            j, r, mono, coeff = stack.pop()
-            for a in range(r + 1):
-                m, c = rows[j][a]
-                if j + 1 < len(rows):
-                    stack.append((j + 1, r - a, tuple(map(sum, zip(mono, m))), coeff * c % p))
+        powers = [{m: c} for m, c in rows[0]]
+        for j in range(1, len(terms) - 1):
+            nxt = []  # the multiplication costs j + 1 terms times S'[r - 1]
+            for r, convolution_cost in enumerate(accumulate(map(len, powers))):
+                if not nxt or convolution_cost <= (j + 1) * len(nxt[-1]):
+                    parts = [(m, c, powers[r - a]) for a, (m, c) in enumerate(rows[j][: r + 1])]
                 else:
-                    m2, c2 = last[r - a]
-                    key = tuple(map(sum, zip(mono, m, m2)))
-                    out[key] = out.get(key, 0) + coeff * c * c2
-        return Polynomial(ctx, {m: c % p for m, c in out.items() if c % p}, _canonical=True)
+                    inv_r = inv_fact[r] * fact[r - 1] % p
+                    parts = [(m, c * inv_r % p, nxt[-1]) for m, c in terms[: j + 1]]
+                nxt.append(_shifted_sum(parts, p))
+            powers = nxt
+        # only the top power of the full sum is needed
+        parts = [(m, c * fact[d] % p, powers[d - a]) for a, (m, c) in enumerate(rows[-1])]
+        return Polynomial(ctx, _shifted_sum(parts, p), _canonical=True)
 
     def __pow__(self, r: int) -> Polynomial:
         """f**r as the product of (f**d_i)**(p**i) over the base-p digits d_i.
 
-        Each digit power comes from the multinomial theorem and each p-power
-        factor is a cheap exponent stretch, so intermediate blowup stays
-        proportional to the size of the result.
+        Each digit power is built one term of f at a time (``_small_pow``)
+        and each p-power factor is a cheap exponent stretch, so intermediate
+        blowup stays proportional to the size of the result.
         """
         if r < 0:
             raise ValueError("negative exponent")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -127,8 +128,8 @@ def _powers_by_multiplication(f: Polynomial, count: int) -> list[Polynomial]:
 class TestDigitPower:
     """_small_pow and __pow__ against plain repeated multiplication."""
 
-    # the cost is the number of splits of d over the k terms, about
-    # d^(k-1)/(k-1)!, summed over every d < p
+    # the oracle multiplies every f**d with d < p by f, which at p=101 takes
+    # seconds per polynomial beyond three terms
     @pytest.mark.parametrize(
         "p,max_terms,cases", [(2, 5, 12), (3, 5, 12), (5, 5, 12), (7, 5, 12), (13, 5, 12), (101, 3, 10)]
     )
@@ -156,6 +157,22 @@ class TestDigitPower:
         ctx = RingContext(p, ("x", "y"))
         f = poly(ctx, text)
         assert f._small_pow(d) == poly(ctx, expected)
+
+    @pytest.mark.parametrize(
+        "nvars,degree",
+        [
+            (1, 11),  # twelve terms whose products all collide
+            (2, 3),  # every monomial of degree <= 3: ten terms
+        ],
+    )
+    def test_small_pow_dense(self, nvars, degree):
+        rng = random.Random(31 + nvars)
+        ctx = RingContext(31, ("x", "y")[:nvars])
+        monos = [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) <= degree]
+        f = Polynomial(ctx, {m: rng.randint(1, 30) for m in monos})
+        powers = _powers_by_multiplication(f, 31)
+        for d in (2, 7, 29, 30) if nvars > 1 else range(31):
+            assert f._small_pow(d) == powers[d], d
 
     def test_small_pow_rejects_large_digit(self, ctx5):
         f = poly(ctx5, "x+y")
