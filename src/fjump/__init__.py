@@ -22,7 +22,6 @@ from .digits import (
     reconstruct,
 )
 from .frobenius import (
-    FrobeniusDecomposition,
     frobenius_decompose,
     frobenius_root_ideal,
     frobenius_root_poly,

@@ -15,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+# orbit refuses s and m with m * den(s) above this: it stores every element
+MAX_ORBIT_SIZE = 1 << 20
+
 
 def multiplicative_order(p: int, n: int) -> int:
     """Least k >= 1 with p^k = 1 mod n (n coprime to p); order 1 for n = 1."""
@@ -131,20 +134,26 @@ class OrbitReport:
 def orbit(s: Fraction, p: int, m: int = 1) -> OrbitReport:
     """Iterate s -> frac_mod(p*s, m) until a value repeats.
 
-    All iterates share a denominator dividing den(s), so the orbit has at
-    most m*den(s) elements (at most den(s) when m = 1).
+    Every iterate is n/den(s) for an integer n in [0, m*den(s)), and the map
+    is n -> p*n mod m*den(s), so the orbit has at most m*den(s) elements;
+    that bound may not exceed MAX_ORBIT_SIZE.
     """
     if not (0 <= s < m):
         raise ValueError(f"need 0 <= s < {m}, got {s}")
-    seq: list[Fraction] = [s]
-    index = {s: 0}
+    den = s.denominator
+    size = m * den
+    if size > MAX_ORBIT_SIZE:
+        raise ValueError(f"orbit bound m*den(s) = {size} exceeds {MAX_ORBIT_SIZE}")
+    n = s.numerator
+    seq, index = [n], {n: 0}
     while True:
-        t = frac_mod(p * seq[-1], m)
-        if t in index:
-            entry = index[t]
-            return OrbitReport(s, p, m, tuple(seq), entry, len(seq) - entry)
-        index[t] = len(seq)
-        seq.append(t)
+        n = p * n % size
+        if n in index:
+            entry = index[n]
+            values = tuple(Fraction(k, den) for k in seq)
+            return OrbitReport(s, p, m, values, entry, len(seq) - entry)
+        index[n] = len(seq)
+        seq.append(n)
 
 
 def reconstruct(exp: BasePExpansion) -> tuple[Fraction, CanonicalForm]:

@@ -14,28 +14,12 @@ a general ideal is the sum of the roots of any set of generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ideals import Ideal
-from .ring import Monomial, Polynomial, RingContext
+from .ring import Monomial, Polynomial
 
 
-@dataclass(frozen=True)
-class FrobeniusDecomposition:
-    """The split f = sum over lam of parts[lam]^(p^e) * x^lam."""
-
-    ctx: RingContext
-    e: int
-    parts: dict[Monomial, Polynomial]
-
-    def reconstruct(self) -> Polynomial:
-        total = Polynomial.zero(self.ctx)
-        for lam, g in self.parts.items():
-            total = total + g.frobenius_stretch(self.e).scale_term(lam)
-        return total
-
-
-def frobenius_decompose(f: Polynomial, e: int) -> FrobeniusDecomposition:
+def frobenius_decompose(f: Polynomial, e: int) -> dict[Monomial, Polynomial]:
+    """The parts {lam: g_lam} of the split f = sum_lam g_lam^(p^e) * x^lam."""
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
     q = f.ctx.p**e
@@ -44,15 +28,12 @@ def frobenius_decompose(f: Polynomial, e: int) -> FrobeniusDecomposition:
         lam = tuple(x % q for x in mono)
         outer = tuple(x // q for x in mono)
         split.setdefault(lam, {})[outer] = c
-    parts = {
-        lam: Polynomial(f.ctx, terms, _canonical=True) for lam, terms in split.items()
-    }
-    return FrobeniusDecomposition(f.ctx, e, parts)
+    return {lam: Polynomial(f.ctx, terms, _canonical=True) for lam, terms in split.items()}
 
 
 def frobenius_root_poly(f: Polynomial, e: int) -> Ideal:
     """The minimal ideal I with I^{[p^e]} containing f."""
-    return Ideal(f.ctx, tuple(frobenius_decompose(f, e).parts.values()))
+    return Ideal(f.ctx, tuple(frobenius_decompose(f, e).values()))
 
 
 def frobenius_root_ideal(I: Ideal, e: int) -> Ideal:
@@ -66,7 +47,7 @@ def frobenius_root_ideal(I: Ideal, e: int) -> Ideal:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
     gens: list[Polynomial] = []
     for g in I.generators:
-        gens.extend(frobenius_decompose(g, e).parts.values())
+        gens.extend(frobenius_decompose(g, e).values())
     return Ideal(I.ctx, tuple(gens))
 
 

@@ -50,21 +50,15 @@ class _Scanner:
     def __init__(self, text: str, ctx: RingContext):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
         # longest declared name first so maximal munch wins
         self.names = sorted(ctx.vars, key=len, reverse=True)
 
     def error(self, message: str, cls=ParseError):
-        raise cls(message, self.line, self.col)
+        line_start = self.text.rfind("\n", 0, self.pos) + 1
+        raise cls(message, self.text.count("\n", 0, self.pos) + 1, self.pos - line_start + 1)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
             self.pos += 1
 
     def peek(self) -> str:
@@ -73,21 +67,19 @@ class _Scanner:
 
     def advance(self, n: int):
         self.pos += n
-        self.col += n
 
     def take_uint(self, too_long=ParseError) -> int:
         self.skip_ws()
-        start, line, col = self.pos, self.line, self.col
+        start = self.pos
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.advance(1)
+            self.pos += 1
         if self.pos == start:
             self.error("expected an unsigned integer")
         try:
             return int(self.text[start : self.pos])
         except ValueError:  # more digits than int() converts
-            raise too_long(
-                f"integer literal of {self.pos - start} digits is too long", line, col
-            ) from None
+            length, self.pos = self.pos - start, start
+            self.error(f"integer literal of {length} digits is too long", too_long)
 
     def take_var(self) -> str:
         self.skip_ws()

@@ -121,7 +121,7 @@ def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
 
     BUCHBERGER_PAIR_BUDGET bounds the number of S-pairs taken from the queue.
     """
-    gens = list(dict.fromkeys(g for g in generators if not g.is_zero()))
+    gens = [g for g in generators if not g.is_zero()]
     # minimal monomial generators (a constant included): a proper divisor
     # sorts before its multiples
     lts: list[Monomial] = []

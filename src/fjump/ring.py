@@ -143,14 +143,6 @@ class Polynomial:
         return cls(ctx, {(0,) * ctx.nvars: c}, _canonical=True)
 
     @classmethod
-    def variable(cls, ctx: RingContext, name: str) -> Polynomial:
-        if name not in ctx.vars:
-            raise ValueError(f"unknown variable {name!r} in {ctx!r}")
-        i = ctx.vars.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(ctx.nvars))
-        return cls(ctx, {mono: 1}, _canonical=True)
-
-    @classmethod
     def monomial(cls, ctx: RingContext, mono, coeff: int = 1) -> Polynomial:
         return cls(ctx, {tuple(mono): coeff})
 
@@ -161,16 +153,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
-
-    def is_unit(self) -> bool:
-        return len(self.terms) == 1 and self.is_constant()
-
-    def constant_value(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
@@ -300,11 +282,6 @@ class Polynomial:
             return Polynomial.one(self.ctx)
         if self.is_zero():
             return self
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            return Polynomial(
-                self.ctx, {tuple(e * r for e in m): pow(c, r, self.ctx.p)}
-            )
         p = self.ctx.p
         result = None
         level = 0

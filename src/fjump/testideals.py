@@ -44,6 +44,8 @@ from .ring import Polynomial
 PHI_STEP_BUDGET = 64
 DEFAULT_DEPTH = 4
 NU_EXPONENT_BUDGET = 1 << 20
+# the largest bound on the terms of f^n that _root_scaled expands
+EXPANSION_TERM_BUDGET = 1 << 20
 
 
 def _require_nonzero(f: Polynomial):
@@ -62,6 +64,16 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
         # regenerate from the reduced basis so generator lists stay short
         J = J._with_basis(J.groebner_basis())
     if n:
+        # f^n is the product of (f^d)^(p^i) over the base-p digits d of n,
+        # and f^d with k terms has at most C(d + k - 1, k - 1) terms
+        k, bound, rest = len(f.terms), 1, n
+        while rest and bound <= EXPANSION_TERM_BUDGET:
+            bound *= math.comb(rest % p + k - 1, k - 1)
+            rest //= p
+        if bound > EXPANSION_TERM_BUDGET:
+            raise BudgetExceededError(
+                f"expanding f^n: its term bound exceeds {EXPANSION_TERM_BUDGET}"
+            )
         J = J.scale(f**n)
     return J
 

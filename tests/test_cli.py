@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -164,6 +165,27 @@ class TestExitCodes:
     def test_orbit_needs_prime(self, capsys, p):
         code, _, err = run(capsys, "orbit", "-p", p, "1/3")
         assert code == 2 and "prime" in err
+
+    def test_orbit_too_large(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "orbit", "-p", "2", "-m", "1000000007", "1/3")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err == "fjump: orbit bound m*den(s) = 3000000021 exceeds 1048576\n"
+
+    @pytest.mark.parametrize("command", ["tau -c", "jumps -B"])
+    def test_huge_exponent_budget(self, capsys, command):
+        # f^(10^300) past the root levels would fill memory before it is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command.split(), "1" + "0" * 300, "-p", "2", "x^2+y^3")
+        assert time.perf_counter() - start < 2
+        assert code == 4 and out == ""
+        assert err == "fjump: expanding f^n: its term bound exceeds 1048576\n"
+
+    def test_huge_exponent_of_monomial(self, capsys):
+        # a monomial's power has one term, so it is not refused
+        code, out, _ = run(capsys, "tau", "-p", "2", "-c", "1" + "0" * 300, "x")
+        assert code == 0 and out == "x^1" + "0" * 300
 
     def test_parse_error_rational(self, capsys):
         code, _, err = run(capsys, "tau", "-p", "2", "-c", "0.5", "x")

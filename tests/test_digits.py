@@ -13,6 +13,7 @@ from fjump import (
     orbit,
     reconstruct,
 )
+from fjump.digits import MAX_ORBIT_SIZE
 
 
 class TestExpand:
@@ -98,6 +99,16 @@ class TestOrbit:
             m = rng.randint(1, 4)
             s = Fraction(rng.randint(0, den * m - 1), den)
             assert len(orbit(s, 3, m).orbit) <= m * s.denominator
+
+    def test_size_bound(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            orbit(Fraction(1, 3), 2, 1000000007)
+        assert orbit(Fraction(0), 2, MAX_ORBIT_SIZE).orbit == (Fraction(0),)
+        with pytest.raises(ValueError, match="exceeds"):
+            orbit(Fraction(0), 2, MAX_ORBIT_SIZE + 1)
+        # m * den(s) = 1000003 is under the bound
+        rep = orbit(Fraction(1, 1000003), 3, 1)
+        assert rep.entry_index == 0 and rep.cycle_length == len(rep.orbit) == 333334
 
     def test_shift_matches_digit_stream(self):
         rng = random.Random(53)

@@ -35,7 +35,7 @@ class TestParse:
     def test_constants(self, ctx5):
         assert parse_poly("0", ctx5).is_zero()
         assert parse_poly("1", ctx5) == Polynomial.one(ctx5)
-        assert parse_poly("7", ctx5).constant_value() == 2
+        assert parse_poly("7", ctx5) == Polynomial.constant(ctx5, 2)
 
     def test_leading_sign(self, ctx5):
         assert parse_poly("-x + y", ctx5).terms == {(1, 0): 4, (0, 1): 1}

@@ -100,6 +100,30 @@ class TestTauDyadic:
                 assert tau_dyadic(f, r, e) == tau_dyadic(f, r * p, e + 1)
 
 
+class TestExpansionBudget:
+    def test_bound_covers_true_size(self, monkeypatch):
+        # a budget one below the true size of f^n must always refuse f^n
+        rng = random.Random(71)
+        for p in (2, 3, 5, 7):
+            ctx = RingContext(p, ("x", "y"))
+            for _ in range(15):
+                f = random_poly(rng, ctx, max_terms=4, max_exp=4)
+                n = rng.randint(1, 60)
+                monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", len((f**n).terms) - 1)
+                with pytest.raises(BudgetExceededError, match="expanding f"):
+                    testideals._root_scaled(f, n, 0, Ideal.unit(ctx))
+
+    def test_bound_is_exact_for_binomial_char2(self, ctx2, monkeypatch):
+        # over F_2, (x^2+y^3)^n has 2^(number of binary ones of n) terms
+        f = poly(ctx2, "x^2+y^3")
+        n = 0b1011001
+        monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", 16)
+        assert tau(f, Fraction(n)) == Ideal(ctx2, (f**n,))
+        monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", 15)
+        with pytest.raises(BudgetExceededError, match="expanding f"):
+            tau(f, Fraction(n))
+
+
 class TestPhiStep:
     def test_examples(self):
         ctx = RingContext(2, ("x",))
