@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# orbit refuses s and m with m * den(s) above this: it stores every element
+# orbit refuses an orbit with more elements than this: it stores every one
 MAX_ORBIT_SIZE = 1 << 20
 
 
@@ -135,25 +135,24 @@ def orbit(s: Fraction, p: int, m: int = 1) -> OrbitReport:
     """Iterate s -> frac_mod(p*s, m) until a value repeats.
 
     Every iterate is n/den(s) for an integer n in [0, m*den(s)), and the map
-    is n -> p*n mod m*den(s), so the orbit has at most m*den(s) elements;
-    that bound may not exceed MAX_ORBIT_SIZE.
+    is n -> p*n mod m*den(s), so the orbit has at most m*den(s) elements.
+    Raises once the orbit has more than MAX_ORBIT_SIZE elements.
     """
     if not (0 <= s < m):
         raise ValueError(f"need 0 <= s < {m}, got {s}")
     den = s.denominator
     size = m * den
-    if size > MAX_ORBIT_SIZE:
-        raise ValueError(f"orbit bound m*den(s) = {size} exceeds {MAX_ORBIT_SIZE}")
     n = s.numerator
-    seq, index = [n], {n: 0}
+    index = {n: 0}  # numerator -> position, in orbit order
     while True:
         n = p * n % size
         if n in index:
             entry = index[n]
-            values = tuple(Fraction(k, den) for k in seq)
-            return OrbitReport(s, p, m, values, entry, len(seq) - entry)
-        index[n] = len(seq)
-        seq.append(n)
+            values = tuple(Fraction(k, den) for k in index)
+            return OrbitReport(s, p, m, values, entry, len(index) - entry)
+        if len(index) == MAX_ORBIT_SIZE:
+            raise ValueError(f"orbit has more than {MAX_ORBIT_SIZE} elements")
+        index[n] = len(index)
 
 
 def reconstruct(exp: BasePExpansion) -> tuple[Fraction, CanonicalForm]:

@@ -64,11 +64,14 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
         # regenerate from the reduced basis so generator lists stay short
         J = J._with_basis(J.groebner_basis())
     if n:
-        # f^n is the product of (f^d)^(p^i) over the base-p digits d of n,
-        # and f^d with k terms has at most C(d + k - 1, k - 1) terms
-        k, bound, rest = len(f.terms), 1, n
+        # f^n is the product of (f^d)^(p^i) over the base-p digits d of n;
+        # f^d has at most C(d + k - 1, k - 1) terms (f with k terms) and at
+        # most as many as there are monomials of degree <= d*deg(f)
+        k, deg, v = len(f.terms), f.total_degree(), f.ctx.nvars
+        bound, rest = 1, n
         while rest and bound <= EXPANSION_TERM_BUDGET:
-            bound *= math.comb(rest % p + k - 1, k - 1)
+            d = rest % p
+            bound *= min(math.comb(d + k - 1, k - 1), math.comb(d * deg + v, v))
             rest //= p
         if bound > EXPANSION_TERM_BUDGET:
             raise BudgetExceededError(

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fjump import Ideal, chains, testideals
+from fjump import Ideal, RingContext, chains, parse_poly, testideals
 from fjump.cli import main
 
 
@@ -171,7 +171,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "orbit", "-p", "2", "-m", "1000000007", "1/3")
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
-        assert err == "fjump: orbit bound m*den(s) = 3000000021 exceeds 1048576\n"
+        assert err == "fjump: orbit has more than 1048576 elements\n"
 
     @pytest.mark.parametrize("command", ["tau -c", "jumps -B"])
     def test_huge_exponent_budget(self, capsys, command):
@@ -181,6 +181,12 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2
         assert code == 4 and out == ""
         assert err == "fjump: expanding f^n: its term bound exceeds 1048576\n"
+
+    def test_dense_power_is_expanded(self, capsys):
+        # C(29, 9) splits of 20 over 10 terms, but f^20 has only 181 terms
+        f = "+".join(f"{i + 1}*x^{i}" for i in range(10))
+        code, out, _ = run(capsys, "tau", "-p", "101", "-c", "20", f)
+        assert code == 0 and out == str(parse_poly(f, RingContext(101, ("x",))) ** 20)
 
     def test_huge_exponent_of_monomial(self, capsys):
         # a monomial's power has one term, so it is not refused

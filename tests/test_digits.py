@@ -13,6 +13,7 @@ from fjump import (
     orbit,
     reconstruct,
 )
+from fjump import digits
 from fjump.digits import MAX_ORBIT_SIZE
 
 
@@ -101,14 +102,27 @@ class TestOrbit:
             assert len(orbit(s, 3, m).orbit) <= m * s.denominator
 
     def test_size_bound(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        # the orbit of 1/3 under doubling mod 1000000007 is longer than the bound
+        with pytest.raises(ValueError, match="more than"):
             orbit(Fraction(1, 3), 2, 1000000007)
-        assert orbit(Fraction(0), 2, MAX_ORBIT_SIZE).orbit == (Fraction(0),)
-        with pytest.raises(ValueError, match="exceeds"):
-            orbit(Fraction(0), 2, MAX_ORBIT_SIZE + 1)
-        # m * den(s) = 1000003 is under the bound
         rep = orbit(Fraction(1, 1000003), 3, 1)
         assert rep.entry_index == 0 and rep.cycle_length == len(rep.orbit) == 333334
+
+    def test_short_orbits_with_large_bound(self):
+        # m * den(s) far above the bound, but the orbit itself is short
+        rep = orbit(Fraction(1, 2**21), 2)
+        assert len(rep.orbit) == 22 and rep.orbit[-1] == 0 and rep.cycle_length == 1
+        rep = orbit(Fraction(1, 2**31 - 1), 2)
+        assert rep.entry_index == 0 and rep.cycle_length == len(rep.orbit) == 31
+        assert orbit(Fraction(0), 2, MAX_ORBIT_SIZE + 1).orbit == (Fraction(0),)
+
+    def test_bound_counts_stored_elements(self, monkeypatch):
+        # the orbit of 1/7 under doubling is 1/7, 2/7, 4/7
+        monkeypatch.setattr(digits, "MAX_ORBIT_SIZE", 3)
+        assert len(orbit(Fraction(1, 7), 2).orbit) == 3
+        monkeypatch.setattr(digits, "MAX_ORBIT_SIZE", 2)
+        with pytest.raises(ValueError, match="more than 2 elements"):
+            orbit(Fraction(1, 7), 2)
 
     def test_shift_matches_digit_stream(self):
         rng = random.Random(53)

@@ -113,6 +113,17 @@ class TestExpansionBudget:
                 with pytest.raises(BudgetExceededError, match="expanding f"):
                     testideals._root_scaled(f, n, 0, Ideal.unit(ctx))
 
+    def test_bound_uses_degree_for_many_terms(self, monkeypatch):
+        # f^20 for a 10-term f of degree 3 in x, y: C(29, 9) > 10^7 splits,
+        # but at most C(62, 2) = 1891 monomials of degree <= 60
+        ctx = RingContext(31, ("x", "y"))
+        f = poly(ctx, "1+x+y+x^2+x*y+y^2+x^3+x^2*y+x*y^2+y^3")
+        monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", 1891)
+        assert tau(f, Fraction(20)) == Ideal(ctx, (f**20,))
+        monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", 1890)
+        with pytest.raises(BudgetExceededError, match="expanding f"):
+            tau(f, Fraction(20))
+
     def test_bound_is_exact_for_binomial_char2(self, ctx2, monkeypatch):
         # over F_2, (x^2+y^3)^n has 2^(number of binary ones of n) terms
         f = poly(ctx2, "x^2+y^3")
