@@ -8,7 +8,6 @@ from .chains import (
     bijection_check,
     chain,
     nil_compare,
-    psi,
 )
 from .digits import (
     BasePExpansion,
@@ -25,7 +24,6 @@ from .frobenius import (
     frobenius_decompose,
     frobenius_root_ideal,
     frobenius_root_poly,
-    verify_star,
 )
 from .grammar import (
     ExponentOverflowError,
@@ -40,7 +38,6 @@ from .ring import Monomial, Polynomial, RingContext, grevlex_key
 from .testideals import (
     Jump,
     JumpReport,
-    check_scaling_law,
     enumerate_jumps,
     is_jumping,
     nu,

@@ -1,4 +1,4 @@
-"""Descending ideal chains C_s = I_{s*beta}(g^(a*psi_s(p^beta))).
+"""Descending ideal chains C_s = I_{s*beta}(g^(a*(q^s - 1)/(q - 1))), q = p^beta.
 
 Each C_s is the annihilator-ideal stand-in for the space killed by the
 s-th power of the skew operator m -> g^a * F^beta(m) on the injective hull
@@ -25,13 +25,6 @@ BIJECTION_BETA_MAX = 12
 
 class TotalOrderViolation(RuntimeError):
     """Two stabilized chain values failed to be comparable."""
-
-
-def psi(e: int, q: int) -> int:
-    """The geometric sum 1 + q + ... + q^(e-1) = (q^e - 1)/(q - 1)."""
-    if e < 0 or q < 2:
-        raise ValueError("need e >= 0 and q >= 2")
-    return (q**e - 1) // (q - 1)
 
 
 @dataclass

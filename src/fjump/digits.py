@@ -12,28 +12,29 @@ the canonical one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# orbit refuses an orbit with more elements than this: it stores every one
+# orbit refuses an orbit with more elements than this (it stores every one),
+# and multiplicative_order an order above it, the cycle length of 1/n
 MAX_ORBIT_SIZE = 1 << 20
 
 
 def multiplicative_order(p: int, n: int) -> int:
-    """Least k >= 1 with p^k = 1 mod n (n coprime to p); order 1 for n = 1."""
+    """Least k >= 1 with p^k = 1 mod n (n coprime to p); raises past MAX_ORBIT_SIZE."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
+    if math.gcd(p, n) != 1:
+        raise ValueError(f"{p} and {n} are not coprime")
     if n == 1:
         return 1
-    t = p % n
-    if t == 0:
-        raise ValueError(f"{p} and {n} are not coprime")
-    k = 1
+    k, t = 1, p % n
     while t != 1:
-        t = (t * p) % n
+        if k == MAX_ORBIT_SIZE:
+            raise ValueError(f"the order of {p} modulo {n} exceeds {MAX_ORBIT_SIZE}")
+        t = t * p % n
         k += 1
-        if k > n:
-            raise ValueError(f"{p} and {n} are not coprime")
     return k
 
 

@@ -49,9 +49,3 @@ def frobenius_root_ideal(I: Ideal, e: int) -> Ideal:
     for g in I.generators:
         gens.extend(frobenius_decompose(g, e).values())
     return Ideal(I.ctx, tuple(gens))
-
-
-def verify_star(I: Ideal, e: int) -> bool:
-    """Check I_e(I)^{[p^e]} contains I (true for every ideal and level)."""
-    root = frobenius_root_ideal(I, e)
-    return root.bracket_power(I.ctx.p**e).contains(I)

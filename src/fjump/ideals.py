@@ -183,17 +183,13 @@ class Ideal:
     __slots__ = ("ctx", "generators", "_gb")
 
     def __init__(self, ctx: RingContext, generators=()):
-        gens = tuple(g for g in generators if not g.is_zero())
+        gens = tuple(generators)
         for g in gens:
             if g.ctx != ctx:
                 raise ValueError("generator from a different ring context")
         self.ctx = ctx
         self.generators = gens
         self._gb: tuple[Polynomial, ...] | None = None
-
-    @classmethod
-    def zero(cls, ctx: RingContext) -> Ideal:
-        return cls(ctx, ())
 
     @classmethod
     def unit(cls, ctx: RingContext) -> Ideal:
@@ -239,18 +235,6 @@ class Ideal:
     __hash__ = None
 
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: Ideal) -> Ideal:
-        if self.ctx != other.ctx:
-            raise ValueError("ring context mismatch")
-        return Ideal(self.ctx, self.generators + other.generators)
-
-    def __mul__(self, other: Ideal) -> Ideal:
-        if self.ctx != other.ctx:
-            raise ValueError("ring context mismatch")
-        return Ideal(
-            self.ctx, tuple(f * g for f in self.generators for g in other.generators)
-        )
 
     def scale(self, h: Polynomial) -> Ideal:
         """The ideal h * self."""

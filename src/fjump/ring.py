@@ -142,10 +142,6 @@ class Polynomial:
             return cls.zero(ctx)
         return cls(ctx, {(0,) * ctx.nvars: c}, _canonical=True)
 
-    @classmethod
-    def monomial(cls, ctx: RingContext, mono, coeff: int = 1) -> Polynomial:
-        return cls(ctx, {tuple(mono): coeff})
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:

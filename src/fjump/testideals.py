@@ -360,20 +360,3 @@ def enumerate_jumps(
                 f"tau fails to chain between jumps {a.c} and {b.c}; this is a bug"
             )
     return JumpReport(bound, jumps, unresolved)
-
-
-def check_scaling_law(f: Polynomial, report: JumpReport) -> bool:
-    """Check the two jump-propagation laws against a complete report.
-
-    Every jump c with p*c <= bound must make p*c a jump, and every jump
-    strictly above 1 must make c - 1 a jump (principal case).
-    """
-    if not report.complete:
-        raise ValueError("jump report is incomplete; increase the depth")
-    p = f.ctx.p
-    for jump in report.jumps:
-        if p * jump.c <= report.bound and not is_jumping(f, p * jump.c).jumping:
-            return False
-        if jump.c > 1 and not is_jumping(f, jump.c - 1).jumping:
-            return False
-    return True

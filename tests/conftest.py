@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fjump import Ideal, Polynomial, RingContext
+from fjump import Corpus, CorpusEntry, Ideal, Polynomial, RingContext, run_suite
 
 
 @pytest.fixture
@@ -48,6 +48,14 @@ def reassemble(ctx: RingContext, parts: dict, e: int) -> Polynomial:
     for lam, g in parts.items():
         total = total + g.frobenius_stretch(e).scale_term(lam)
     return total
+
+
+def law_checks(p: int, text: str, bound, depth: int, expect_jumps=None) -> dict:
+    """The checks `fjump verify` runs on one corpus entry, by name."""
+    entry = CorpusEntry(p, text, bound, expect_jumps)
+    (report,) = run_suite(Corpus([entry]), depth=depth).entries
+    assert report.error is None, report.error
+    return {check.name: check for check in report.checks}
 
 
 def poly(ctx: RingContext, text: str) -> Polynomial:

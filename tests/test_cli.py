@@ -173,6 +173,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "fjump: orbit has more than 1048576 elements\n"
 
+    def test_huge_period(self, capsys):
+        # the period of 1/1000000007 in base 2 is the order of 2 mod 1000000007
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tau", "-p", "2", "-c", "1/1000000007", "x^2+y^3")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err == "fjump: the order of 2 modulo 1000000007 exceeds 1048576\n"
+
     @pytest.mark.parametrize("command", ["tau -c", "jumps -B"])
     def test_huge_exponent_budget(self, capsys, command):
         # f^(10^300) past the root levels would fill memory before it is built

@@ -214,3 +214,12 @@ def test_multiplicative_order():
     assert multiplicative_order(5, 1) == 1
     with pytest.raises(ValueError):
         multiplicative_order(6, 3)
+
+
+def test_multiplicative_order_bound(monkeypatch):
+    # 2 has order 3 mod 7
+    monkeypatch.setattr(digits, "MAX_ORBIT_SIZE", 3)
+    assert multiplicative_order(2, 7) == 3
+    monkeypatch.setattr(digits, "MAX_ORBIT_SIZE", 2)
+    with pytest.raises(ValueError, match="the order of 2 modulo 7 exceeds 2"):
+        multiplicative_order(2, 7)

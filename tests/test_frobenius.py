@@ -9,7 +9,6 @@ from fjump import (
     frobenius_decompose,
     frobenius_root_ideal,
     frobenius_root_poly,
-    verify_star,
 )
 
 from conftest import ideal, poly, random_ideal, random_poly, reassemble
@@ -69,14 +68,14 @@ class TestRootOfPolynomial:
             a, b = rng.randint(0, 30), rng.randint(0, 30)
             e = rng.randint(1, 3)
             q = 3**e
-            f = Polynomial.monomial(ctx3, (a, b))
-            expected = Ideal(ctx3, (Polynomial.monomial(ctx3, (a // q, b // q)),))
+            f = Polynomial(ctx3, {(a, b): 1})
+            expected = Ideal(ctx3, (Polynomial(ctx3, {(a // q, b // q): 1}),))
             assert frobenius_root_poly(f, e) == expected
 
 
 class TestRootOfIdeal:
     def test_zero_and_unit(self, ctx2):
-        assert frobenius_root_ideal(Ideal.zero(ctx2), 1).is_zero()
+        assert frobenius_root_ideal(Ideal(ctx2), 1).is_zero()
         assert frobenius_root_ideal(Ideal.unit(ctx2), 2).is_unit()
 
     def test_perfect_powers(self, ctx2):
@@ -96,15 +95,15 @@ class TestRootOfIdeal:
         rng = random.Random(23)
         for _ in range(10):
             I = random_ideal(rng, ctx2)
-            J = I + random_ideal(rng, ctx2)
+            J = Ideal(ctx2, I.generators + random_ideal(rng, ctx2).generators)
             for e in (1, 2):
                 assert frobenius_root_ideal(J, e).contains(frobenius_root_ideal(I, e))
 
 
 class TestStarAndMinimality:
     def test_star_examples(self, ctx2):
-        assert verify_star(ideal(ctx2, "x^2 + y^3"), 1)
-        assert verify_star(Ideal.unit(ctx2), 3)
+        for I, e in ((ideal(ctx2, "x^2 + y^3"), 1), (Ideal.unit(ctx2), 3)):
+            assert frobenius_root_ideal(I, e).bracket_power(2**e).contains(I)
 
     def test_star_random(self):
         rng = random.Random(29)
@@ -113,7 +112,7 @@ class TestStarAndMinimality:
             for _ in range(10):
                 I = random_ideal(rng, ctx)
                 for e in (1, 2):
-                    assert verify_star(I, e)
+                    assert frobenius_root_ideal(I, e).bracket_power(p**e).contains(I)
 
     def test_galois_connection(self, ctx2):
         # J^[q] contains <f>  iff  J contains I_e(<f>), both directions
@@ -125,7 +124,7 @@ class TestStarAndMinimality:
             root = frobenius_root_poly(f, e)
             candidates = [
                 root,
-                root + random_ideal(rng, ctx2),
+                Ideal(ctx2, root.generators + random_ideal(rng, ctx2).generators),
                 random_ideal(rng, ctx2),
                 Ideal(ctx2, root.generators[:1]),
             ]

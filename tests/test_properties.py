@@ -1,4 +1,7 @@
-"""Property tests for the Frobenius split and the reduced Groebner basis."""
+"""Property tests for the Frobenius split, the reduced Groebner basis and
+the test ideals tau(f^c)."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +15,7 @@ from fjump import (  # noqa: E402
     frobenius_decompose,
     frobenius_root_ideal,
     reduced_groebner,
+    tau,
 )
 
 from conftest import reassemble  # noqa: E402
@@ -26,9 +30,10 @@ CONTEXTS = [
 
 
 @st.composite
-def polys(draw, ctx, max_terms=4, max_exp=9):
+def polys(draw, ctx, min_terms=0, max_terms=4, max_exp=9):
     monos = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
-    terms = draw(st.dictionaries(monos, st.integers(1, ctx.p - 1), max_size=max_terms))
+    coeffs = st.integers(1, ctx.p - 1)
+    terms = draw(st.dictionaries(monos, coeffs, min_size=min_terms, max_size=max_terms))
     return Polynomial(ctx, terms)
 
 
@@ -71,3 +76,40 @@ def test_root_ignores_repeats_order_and_zeros(case, e, data):
     padded = _padded(data.draw, gens, ctx)
     root = frobenius_root_ideal(Ideal(ctx, padded), e)
     assert root.groebner_basis() == frobenius_root_ideal(Ideal(ctx, gens), e).groebner_basis()
+
+
+@st.composite
+def exponents(draw, top=1):
+    """A rational c in (0, top] with a denominator of at most 8."""
+    den = draw(st.integers(1, 8))
+    return Fraction(draw(st.integers(1, top * den)), den)
+
+
+NONZERO = ctx_and_polys((1, 1), min_terms=1, max_terms=3, max_exp=3)
+
+
+@settings
+@hypothesis.given(NONZERO, exponents())
+def test_tau_generated_in_degree_of_f(case, c):
+    # Blickle-Mustata-Smith: for c <= 1, tau(f^c) is generated in degree
+    # <= deg f; grevlex is degree-compatible, so the reduced basis elements
+    # of degree <= deg f then generate it
+    ctx, (f,) = case
+    value = tau(f, c)
+    low = [g for g in value.groebner_basis() if g.total_degree() <= f.total_degree()]
+    assert Ideal(ctx, low) == value
+
+
+@settings
+@hypothesis.given(NONZERO, exponents())
+def test_skoda(case, c):
+    _, (f,) = case
+    assert tau(f, c + 1) == tau(f, c).scale(f)
+
+
+@settings
+@hypothesis.given(NONZERO, exponents(top=2), exponents(top=2))
+def test_tau_monotone_in_c(case, c, d):
+    _, (f,) = case
+    c, d = sorted((c, d))
+    assert tau(f, c).contains(tau(f, d))

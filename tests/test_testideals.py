@@ -10,7 +10,6 @@ from fjump import (
     Polynomial,
     RingContext,
     parse_poly,
-    check_scaling_law,
     enumerate_jumps,
     frobenius_root_ideal,
     frobenius_root_poly,
@@ -23,7 +22,7 @@ from fjump import (
     testideals,
 )
 
-from conftest import ideal, poly, random_poly
+from conftest import ideal, law_checks, poly, random_poly
 
 
 def brute_nu(f, J, e):
@@ -42,14 +41,14 @@ def brute_nu(f, J, e):
 def monomial_tau(f, c):
     """Closed-form oracle for a single monomial: floor-scale each exponent."""
     ((mono, _),) = f.terms.items()
-    return Ideal(f.ctx, (Polynomial.monomial(f.ctx, tuple(int(c * d) for d in mono)),))
+    return Ideal(f.ctx, (Polynomial(f.ctx, {tuple(int(c * d) for d in mono): 1}),))
 
 
 def monomial_tau_left(f, c):
     """Closed-form left limit for a single monomial: ceil-scale less one."""
     ((mono, _),) = f.terms.items()
     exps = tuple(max(math.ceil(c * d) - 1, 0) for d in mono)
-    return Ideal(f.ctx, (Polynomial.monomial(f.ctx, exps),))
+    return Ideal(f.ctx, (Polynomial(f.ctx, {exps: 1}),))
 
 
 def monomial_jump_set(f, bound):
@@ -149,7 +148,7 @@ class TestPhiStep:
         for _ in range(10):
             f = random_poly(rng, ctx3, max_terms=2, max_exp=3)
             small = ideal(ctx3, "x^2", "xy")
-            big = small + ideal(ctx3, "y")
+            big = ideal(ctx3, "x^2", "xy", "y")
             a, beta = rng.randint(0, 6), rng.randint(1, 2)
             assert phi_step(f, a, beta, big).contains(phi_step(f, a, beta, small))
 
@@ -195,7 +194,7 @@ class TestTau:
         for p in (2, 3, 5):
             ctx = RingContext(p, ("x", "y"))
             for _ in range(40):
-                f = Polynomial.monomial(ctx, (rng.randint(1, 3), rng.randint(0, 3)))
+                f = Polynomial(ctx, {(rng.randint(1, 3), rng.randint(0, 3)): 1})
                 # a factor p or p^2 in the denominator gives c a p-adic part
                 c = Fraction(rng.randint(1, 40), rng.randint(1, 20) * p ** rng.randint(0, 2))
                 assert tau(f, c) == monomial_tau(f, c)
@@ -297,7 +296,7 @@ class TestNu:
         with pytest.raises(ValueError):
             nu(poly(ctx2, "x"), Ideal.unit(ctx2), 1)
         with pytest.raises(ValueError):
-            nu(poly(ctx2, "x"), Ideal.zero(ctx2), 1)
+            nu(poly(ctx2, "x"), Ideal(ctx2), 1)
 
     def test_budget_when_not_in_radical(self, ctx2, monkeypatch):
         monkeypatch.setattr(testideals, "NU_EXPONENT_BUDGET", 64)
@@ -327,7 +326,7 @@ class TestEnumerateJumps:
         for p in (2, 3, 5):
             ctx = RingContext(p, ("x", "y"))
             for _ in range(6):
-                f = Polynomial.monomial(ctx, (rng.randint(1, 3), rng.randint(0, 2)))
+                f = Polynomial(ctx, {(rng.randint(1, 3), rng.randint(0, 2)): 1})
                 report = enumerate_jumps(f, Fraction(2), depth=5)
                 assert report.complete
                 assert report.coefficients() == monomial_jump_set(f, Fraction(2))
@@ -526,24 +525,22 @@ class TestIntervalCandidates:
 
 
 class TestScalingLaw:
+    """The shift and scale laws as `fjump verify` checks them."""
+
     def test_monomial(self):
-        ctx = RingContext(2, ("x",))
-        report = enumerate_jumps(poly(ctx, "x"), Fraction(2))
-        assert check_scaling_law(poly(ctx, "x"), report)
+        checks = law_checks(2, "x", Fraction(2), testideals.DEFAULT_DEPTH)
+        assert checks["shift_law"].passed and checks["scale_law"].passed
 
     def test_cube_char2(self):
-        ctx = RingContext(2, ("x",))
-        f = poly(ctx, "x^3")
-        report = enumerate_jumps(f, Fraction(1), depth=4)
-        assert report.coefficients() == [Fraction(1, 3), Fraction(2, 3), Fraction(1)]
-        assert check_scaling_law(f, report)
+        jumps = (Fraction(1, 3), Fraction(2, 3), Fraction(1))
+        checks = law_checks(2, "x^3", Fraction(1), 4, jumps)
+        assert checks["expected_jumps"].passed
+        assert checks["shift_law"].passed and checks["scale_law"].passed
 
     def test_incomplete_rejected(self):
-        ctx = RingContext(5, ("x",))
-        f = poly(ctx, "x^3")
-        report = enumerate_jumps(f, Fraction(1), depth=1)
-        with pytest.raises(ValueError):
-            check_scaling_law(f, report)
+        checks = law_checks(5, "x^3", Fraction(1), 1)
+        assert not checks["expected_jumps"].passed
+        assert "requiring a complete enumeration" in checks["expected_jumps"].detail
 
 
 def _tau_with_beta(f, c, beta):
