@@ -185,7 +185,7 @@ class Ideal:
     def __init__(self, ctx: RingContext, generators=()):
         gens = tuple(generators)
         for g in gens:
-            if g.ctx != ctx:
+            if g.ctx is not ctx and g.ctx != ctx:
                 raise ValueError("generator from a different ring context")
         self.ctx = ctx
         self.generators = gens

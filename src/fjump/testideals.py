@@ -28,11 +28,18 @@ I_{s beta}(f^(a' psi_s)) descend to the common value of tau just below g.
 
 Phi is monotone and deterministic, so two equal consecutive iterates make
 the chain stationary forever: the fixed point is a rigorous stopping rule.
+
+f has few distinct test ideals, so digit steps repeat. Inside a
+``shared_roots()`` block, which ``enumerate_jumps`` and each ``verify``
+entry open, a per-thread memo keyed on (f, d, the unique reduced basis of
+J) takes each step J -> I_1(f^d * J) once; calls outside build no key.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,22 +54,42 @@ NU_EXPONENT_BUDGET = 1 << 20
 # the largest bound on the terms of f^n that _root_scaled expands
 EXPANSION_TERM_BUDGET = 1 << 20
 
+_step_memo: ContextVar[dict | None] = ContextVar("_step_memo", default=None)
+
 
 def _require_nonzero(f: Polynomial):
     if f.is_zero():
         raise ValueError("the zero polynomial has no test ideals")
 
 
+@contextmanager
+def shared_roots():
+    """Memoize the digit steps of this thread's enclosed calls; nested blocks share one memo."""
+    memo = _step_memo.get()
+    token = _step_memo.set({} if memo is None else memo)
+    try:
+        yield
+    finally:
+        _step_memo.reset(token)
+
+
 def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
     """I_e(f^n * J) by the digit recursion; never expands f^n for n >= p^e."""
     p = f.ctx.p
+    memo = _step_memo.get()
     for _ in range(e):
         d = n % p
         n //= p
+        key = None if memo is None else (f, d, J.groebner_basis())
+        if key is not None and key in memo:
+            J = memo[key]
+            continue
         scaled = J.scale(f._small_pow(d)) if d else J
         J = frobenius_root_ideal(scaled, 1)
         # regenerate from the reduced basis so generator lists stay short
         J = J._with_basis(J.groebner_basis())
+        if key is not None:
+            memo[key] = J
     if n:
         # f^n is the product of (f^d)^(p^i) over the base-p digits d of n;
         # f^d has at most C(d + k - 1, k - 1) terms (f with k terms) and at
@@ -335,20 +362,21 @@ def enumerate_jumps(
     jumps: list[Jump] = []
     unresolved: list[tuple[Fraction, Fraction]] = []
     top = math.ceil(bound * p)
-    queue = _drops(f, 1, 0, top, Ideal.unit(f.ctx), tau_dyadic(f, top, 1))
+    with shared_roots():
+        queue = _drops(f, 1, 0, top, Ideal.unit(f.ctx), tau_dyadic(f, top, 1))
 
-    while queue:
-        e, r, t_lo, t_hi = queue.pop(0)
-        tests = (is_jumping(f, c) for c in _interval_candidates(p, e, r))
-        # t_lo != t_hi, so a test that reproduces both witnesses is a jump
-        found = next((jt for jt in tests if (jt.tau_left, jt.tau_at) == (t_lo, t_hi)), None)
-        if found is not None:
-            jumps.append(found)
-            continue
-        if e < depth:
-            queue.extend(_drops(f, e + 1, (r - 1) * p, r * p, t_lo, t_hi))
-        elif Fraction(r - 1, p**e) < bound:
-            unresolved.append((Fraction(r - 1, p**e), min(Fraction(r, p**e), bound)))
+        while queue:
+            e, r, t_lo, t_hi = queue.pop(0)
+            tests = (is_jumping(f, c) for c in _interval_candidates(p, e, r))
+            # t_lo != t_hi, so a test that reproduces both witnesses is a jump
+            found = next((jt for jt in tests if (jt.tau_left, jt.tau_at) == (t_lo, t_hi)), None)
+            if found is not None:
+                jumps.append(found)
+                continue
+            if e < depth:
+                queue.extend(_drops(f, e + 1, (r - 1) * p, r * p, t_lo, t_hi))
+            elif Fraction(r - 1, p**e) < bound:
+                unresolved.append((Fraction(r - 1, p**e), min(Fraction(r, p**e), bound)))
 
     jumps = [j for j in jumps if j.c <= bound]
     jumps.sort(key=lambda j: j.c)

@@ -198,6 +198,7 @@ def _random_rational_between(rng: random.Random, lo: Fraction, hi: Fraction) -> 
     return lo + (hi - lo) * Fraction(num, den)
 
 
+@testideals.shared_roots()  # one root memo per entry, across every check
 def _check_entry(entry: CorpusEntry, depth: int, seed: int) -> EntryReport:
     rng = random.Random(f"{seed}:{entry.p}:{entry.f_text}")
     started = time.monotonic()

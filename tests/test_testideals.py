@@ -22,7 +22,7 @@ from fjump import (
     testideals,
 )
 
-from conftest import ideal, law_checks, poly, random_poly
+from conftest import ideal, law_checks, poly, random_ideal, random_poly
 
 
 def brute_nu(f, J, e):
@@ -591,3 +591,63 @@ class TestRightConstancy:
             c = Fraction(5, 6) + Fraction(1, 6) * Fraction(rng.randint(1, 30), 31)
             if c < 1:
                 assert tau(f, c) == value
+
+
+class TestSharedRoots:
+    def test_answers_match_unshared(self):
+        # two polynomials of one ring interleaved in one block, each call
+        # asked twice: a memo key that dropped f or J would mix answers up
+        rng = random.Random(109)
+        for p in (2, 3, 5):
+            for names in (("x",), ("x", "y"), ("x", "y", "z")):
+                ctx = RingContext(p, names)
+                fs = [random_poly(rng, ctx, max_terms=3, max_exp=3) for _ in range(2)]
+                calls = []
+                for _ in range(3):
+                    c = Fraction(rng.randint(1, 8), rng.choice([1, 2, 3, 4, p, p + 1]))
+                    r, e = rng.randint(1, p**2), rng.randint(1, 2)
+                    a, beta = rng.randint(0, 2 * p), rng.randint(1, 2)
+                    J = random_ideal(rng, ctx, max_gens=2, max_exp=3)
+                    for f in fs:
+                        calls += [
+                            (tau, (f, c)),
+                            (tau_left_limit, (f, c)),
+                            (tau_dyadic, (f, r, e)),
+                            (phi_step, (f, a, beta, J)),
+                        ]
+                expected = [fn(*args).generators for fn, args in calls]
+                with testideals.shared_roots():
+                    for _ in range(2):
+                        assert [fn(*args).generators for fn, args in calls] == expected
+
+    def test_nested_block_reuses_the_memo(self):
+        assert testideals._step_memo.get() is None
+        with testideals.shared_roots():
+            memo = testideals._step_memo.get()
+            with testideals.shared_roots():
+                assert testideals._step_memo.get() is memo
+            assert testideals._step_memo.get() is memo
+        assert testideals._step_memo.get() is None
+
+    def test_enumerations_share_nothing(self, ctx3, monkeypatch):
+        calls = []
+        real = testideals.frobenius_root_ideal
+
+        def counted(I, e):
+            calls.append(e)
+            return real(I, e)
+
+        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
+        f = poly(ctx3, "x^2+y^3")
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            enumerate_jumps(f, 1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_budget_error_closes_the_block(self, ctx3, monkeypatch):
+        monkeypatch.setattr(testideals, "PHI_STEP_BUDGET", 0)
+        with pytest.raises(BudgetExceededError):
+            enumerate_jumps(poly(ctx3, "x^2+y^3"), 1)
+        assert testideals._step_memo.get() is None
