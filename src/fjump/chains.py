@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .digits import MAX_ORBIT_SIZE
 from .frobenius import frobenius_root_poly  # noqa: F401 - perfbench/tracer.py wraps this binding
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
@@ -61,6 +62,8 @@ def chain(g: Polynomial, a: int, beta: int) -> ChainTrace:
         raise ValueError("need a nonzero polynomial")
     if a < 0 or beta < 1:
         raise ValueError("need a >= 0 and beta >= 1")
+    if beta > MAX_ORBIT_SIZE:
+        raise ValueError(f"need beta <= {MAX_ORBIT_SIZE}, got {beta}")
     trace = _phi_fixed_point(g, a, beta, Ideal.unit(g.ctx))
     terms = trace[1:]  # drop the seed <1>; terms[s-1] = C_s
     if len(terms) == 1:

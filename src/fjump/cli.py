@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -171,6 +172,13 @@ def _cmd_nilcmp(args) -> int:
             pairs.append((int(a_text), int(b_text)))
         except ValueError as err:
             raise _CliError(f"--class expects 'a,beta', got {text!r}", EXIT_USAGE) from err
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (before 3.10.7)
+    for a, beta in pairs:
+        # gamma = a/(p^beta - 1) in lowest terms; p^beta mod a gives the gcd
+        if limit and a > 0 < beta:
+            gcd = math.gcd(a, pow(ctx.p, beta, a) - 1)
+            if beta * math.log10(ctx.p) - math.log10(gcd) >= limit:
+                raise _CliError(f"--class {a},{beta}: gamma has over {limit} digits", EXIT_USAGE)
     n1 = chains.chain(g, *pairs[0])
     n2 = chains.chain(g, *pairs[1])
     cmp = chains.nil_compare(n1, n2)

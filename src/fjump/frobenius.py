@@ -22,6 +22,10 @@ def frobenius_decompose(f: Polynomial, e: int) -> dict[Monomial, Polynomial]:
     """The parts {lam: g_lam} of the split f = sum_lam g_lam^(p^e) * x^lam."""
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
+    if e > 1:  # level 1, the only one the kernel takes, needs no cap
+        # once p^e passes every exponent, each term is its own class with outer
+        # exponent 0, so no level past the largest exponent's bit length differs
+        e = min(e, max(map(max, f.terms), default=0).bit_length())
     q = f.ctx.p**e
     split: dict[Monomial, dict[Monomial, int]] = {}
     for mono, c in f.terms.items():

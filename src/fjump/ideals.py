@@ -3,7 +3,8 @@
 Ideals carry a generator list and a lazily computed, cached reduced
 Groebner basis under grevlex, the only monomial order; every predicate
 (membership, containment, equality) routes through that canonical basis.
-Most inputs are all-monomial, and their reduced basis is just the minimal
+Division takes terms from one grevlex heap, whatever the basis. Most
+inputs are all-monomial, and their reduced basis is just the minimal
 monomial generators, so those are found first and the other generators
 are reduced by them. Buchberger's algorithm runs only on what remains,
 with the Gebauer-Moeller pair updates and the normal selection strategy,
@@ -41,29 +42,27 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Remainder of multivariate division of f by ``basis``.
+    """Remainder of f by ``basis``, all-monomial or not, in one division loop.
 
-    The basis polynomials must be nonzero; they need not be monic or a
-    Groebner basis (but the remainder is only canonical when they are).
+    Terms come off a heap in descending grevlex order; each goes to its first
+    divisor. The basis polynomials must be nonzero; they need not be monic or
+    a Groebner basis (but the remainder is only canonical when they are).
     """
     if f.is_zero() or not basis:
         return f
     p = f.ctx.p
     prepared = [(g.leading_monomial(), g) for g in basis]
-
-    if all(len(g.terms) == 1 for _, g in prepared):
-        # pure monomial basis: reduction just drops divisible terms
-        lts = [lt for lt, _ in prepared]
-        kept = {
-            m: c for m, c in f.terms.items() if not any(_divides(lt, m) for lt in lts)
-        }
-        return Polynomial(f.ctx, kept, _canonical=True)
-
     work = dict(f.terms)
+    # the key (-sum(m), m[::-1]) is -grevlex_key(m). Each monomial of work is
+    # pushed once; a cancelled one keeps coefficient 0 until it is popped.
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapq.heapify(heap)
     remainder: dict[Monomial, int] = {}
-    while work:
-        m = max(work, key=grevlex_key)
+    while heap:
+        m = heapq.heappop(heap)[2]
         c = work.pop(m)
+        if not c:
+            continue
         for lt, g in prepared:
             if _divides(lt, m):
                 shift = _mono_sub(m, lt)
@@ -72,11 +71,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                     if gm == lt:
                         continue
                     tm = tuple(a + b for a, b in zip(gm, shift))
-                    s = (work.get(tm, 0) - factor * gc) % p
-                    if s:
-                        work[tm] = s
-                    elif tm in work:
-                        del work[tm]
+                    if tm not in work:
+                        heapq.heappush(heap, (-sum(tm), tm[::-1], tm))
+                    work[tm] = (work.get(tm, 0) - factor * gc) % p
                 break
         else:
             remainder[m] = c

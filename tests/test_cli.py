@@ -201,6 +201,42 @@ class TestExitCodes:
         code, out, _ = run(capsys, "tau", "-p", "2", "-c", "1" + "0" * 300, "x")
         assert code == 0 and out == "x^1" + "0" * 300
 
+    def test_huge_frobenius_level(self, capsys):
+        # p^e is never formed past the bit length of the largest exponent
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "froot", "-p", "2", "-e", "100000000000", "x")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == "1"
+
+    def test_chain_beta_past_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "chain", "-p", "2", "-a", "1", "-b", "1048577", "x")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "fjump: need beta <= 1048576, got 1048577\n"
+
+    def test_nilcmp_gamma_too_long_to_print(self, capsys, monkeypatch):
+        # refused before either chain is taken
+        monkeypatch.setattr(chains, "chain", None)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "nilcmp", "-p", "2", "--class", "1,20000", "--class", "1,1", "x"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "fjump: --class 1,20000: gamma has over 4300 digits\n"
+
+    @pytest.mark.parametrize(
+        ("cls", "code"),
+        [("1,14284", 0), ("1,14285", 2), (f"{2**10000 + 1},20000", 0)],
+        ids=["at_limit", "past_limit", "common_factor"],
+    )
+    def test_nilcmp_gamma_print_limit(self, capsys, cls, code):
+        # 2^14284 - 1 has 4300 digits and 2^14285 - 1 has 4301; the factor a
+        # shares with 2^20000 - 1 leaves gamma = 1/(2^10000 - 1), 3011 digits
+        got, _, err = run(capsys, "nilcmp", "-p", "2", "--class", cls, "--class", "1,1", "x")
+        assert got == code, err
+
     def test_parse_error_rational(self, capsys):
         code, _, err = run(capsys, "tau", "-p", "2", "-c", "0.5", "x")
         assert code == 3

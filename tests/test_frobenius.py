@@ -40,6 +40,19 @@ class TestDecompose:
                     f = random_poly(rng, ctx, max_terms=5, max_exp=9)
                     assert reassemble(ctx, frobenius_decompose(f, e), e) == f
 
+    def test_levels_past_the_largest_exponent(self):
+        # from the bit length L of the largest exponent on, p^e exceeds every
+        # exponent: each term is its own class, with a constant part
+        rng = random.Random(17)
+        for p in (2, 3, 5):
+            ctx = RingContext(p, ("x", "y"))
+            for _ in range(10):
+                f = random_poly(rng, ctx, max_terms=5, max_exp=20)
+                top = max(map(max, f.terms)).bit_length()
+                own = {m: Polynomial(ctx, {(0, 0): c}) for m, c in f.terms.items()}
+                for e in (top, top + 1, top + 7, 10**12):
+                    assert frobenius_decompose(f, e) == own
+
 
 class TestRootOfPolynomial:
     def test_cusp_char2(self, ctx2):

@@ -184,6 +184,63 @@ class TestNormalFormMembership:
             assert fast == Polynomial(ctx5, kept)
 
 
+def _reference_division(f, basis):
+    """Division that scans the whole remainder for each leading term; the
+    first divisor in ``basis`` wins. ``normal_form`` must agree with it."""
+    p = f.ctx.p
+    prepared = [(g.leading_monomial(), g) for g in basis]
+    work, remainder = dict(f.terms), {}
+    while work:
+        m = max(work, key=grevlex_key)
+        c = work.pop(m)
+        for lt, g in prepared:
+            if all(map(int.__le__, lt, m)):
+                shift = tuple(a - b for a, b in zip(m, lt))
+                factor = c * pow(g.terms[lt], -1, p) % p
+                for gm, gc in g.terms.items():
+                    if gm != lt:
+                        tm = tuple(a + b for a, b in zip(gm, shift))
+                        s = (work.get(tm, 0) - factor * gc) % p
+                        if s:
+                            work[tm] = s
+                        else:
+                            work.pop(tm, None)
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.ctx, remainder)
+
+
+class TestDivisionLoop:
+    def test_matches_reference_on_arbitrary_bases(self):
+        # off a Groebner basis the remainder depends on the order terms are
+        # taken and on which divisor is used: equal remainders here mean
+        # Buchberger reduces every S-pair the same way
+        rng = random.Random(111)
+        for _ in range(3000):
+            p = rng.choice((2, 3, 5, 7))
+            ctx = RingContext(p, ("x", "y", "z")[: rng.randint(1, 3)])
+            basis = [random_poly(rng, ctx, max_terms=4) for _ in range(rng.randint(1, 4))]
+            f = random_poly(rng, ctx, max_terms=12, max_exp=7)
+            assert normal_form(f, basis) == _reference_division(f, basis)
+
+    def test_reduced_basis_remainders(self):
+        rng = random.Random(113)
+        for p in (2, 3, 5, 7):
+            for nvars, max_exp in ((2, 4), (3, 2)):
+                ctx = RingContext(p, ("x", "y", "z")[:nvars])
+                for _ in range(4):
+                    gb = random_ideal(rng, ctx, max_exp=max_exp).groebner_basis()
+                    lts = [g.leading_monomial() for g in gb]
+                    for _ in range(4):
+                        f = random_poly(rng, ctx, max_terms=8, max_exp=6)
+                        r = normal_form(f, gb)
+                        assert not any(all(map(int.__le__, lt, m)) for lt in lts for m in r.terms)
+                        # NF(f + sum h_i g_i) = NF(f)
+                        shift = (random_poly(rng, ctx, max_terms=3, max_exp=3) * g for g in gb)
+                        assert normal_form(sum(shift, f), gb) == r
+
+
 class TestContainmentEquality:
     def test_equality(self, ctx2):
         assert ideal(ctx2, "x", "y") == ideal(ctx2, "y", "x + y")
