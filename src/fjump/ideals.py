@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 
 from .grammar import format_poly
-from .ring import Monomial, Polynomial, RingContext, grevlex_key
+from .ring import Monomial, Polynomial, RingContext, _combine, grevlex_key
 
 BUCHBERGER_PAIR_BUDGET = 200_000
 
@@ -84,7 +84,7 @@ def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial of two monic polynomials."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = _mono_lcm(lf, lg)
-    return f.scale_term(_mono_sub(lcm, lf)) - g.scale_term(_mono_sub(lcm, lg))
+    return _combine(f.ctx, [(_mono_sub(lcm, lf), 1, f.terms), (_mono_sub(lcm, lg), -1, g.terms)])
 
 
 def _gm_update(lts: list[Monomial], active: list[int], pairs: list, h: int):
@@ -242,24 +242,18 @@ class Ideal:
     def bracket_power(self, q: int) -> Ideal:
         """The ideal generated by g**q over generators g, for q a power of p.
 
-        Well-defined independently of the generating set. When the reduced
-        Groebner basis is already cached its q-th powers are again a reduced
-        Groebner basis (Frobenius powers of an S-pair reduction are an
-        S-pair reduction, by the p-th power additivity), so the cache is
-        transferred instead of recomputed.
+        Well-defined independently of the generating set. The q-th powers of
+        the reduced Groebner basis are again the reduced Groebner basis
+        (Frobenius powers of an S-pair reduction are an S-pair reduction, by
+        the p-th power additivity), so that is what is stretched.
         """
         p = self.ctx.p
         e = 0
-        qq = q
-        while qq > 1 and qq % p == 0:
-            qq //= p
+        while p**e < q:
             e += 1
-        if qq != 1:
+        if p**e != q:
             raise ValueError(f"{q} is not a power of the characteristic {p}")
-        out = Ideal(self.ctx, tuple(g.frobenius_stretch(e) for g in self.generators))
-        if self._gb is not None:
-            out._gb = tuple(g.frobenius_stretch(e) for g in self._gb)
-        return out
+        return self._with_basis(tuple(g.frobenius_stretch(e) for g in self.groebner_basis()))
 
     # -- presentation -------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Ambient ring F_p[x_1..x_n]: ring context, sparse polynomials, grevlex.
 
-Coefficients are plain ints in [0, p); monomials are exponent tuples of
+Coefficients are plain ints in [1, p); monomials are exponent tuples of
 length n with unbounded non-negative entries. Polynomials are immutable
-after construction and safe to share across threads.
+after construction and safe to share across threads. One kernel,
+``_shifted_sum``, does every sum, product and term scaling.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import accumulate
+from operator import add
 
 Monomial = tuple[int, ...]
 
@@ -85,9 +87,14 @@ def _shifted_sum(parts, p: int) -> dict[Monomial, int]:
     out: dict[Monomial, int] = {}
     for m, c, g in parts:
         for mono, coeff in g.items():
-            key = tuple([e1 + e2 for e1, e2 in zip(mono, m)])
+            key = tuple(map(add, mono, m))
             out[key] = out.get(key, 0) + c * coeff
-    return {mono: c % p for mono, c in out.items() if c % p}
+    return {mono: r for mono, c in out.items() if (r := c % p)}
+
+
+def _combine(ctx: RingContext, parts) -> Polynomial:
+    """The polynomial sum c * x^m * g over (m, c, terms of g) in parts."""
+    return Polynomial(ctx, _shifted_sum(parts, ctx.p), _canonical=True)
 
 
 class Polynomial:
@@ -101,25 +108,17 @@ class Polynomial:
     __slots__ = ("ctx", "terms", "_hash")
 
     def __init__(self, ctx: RingContext, terms, *, _canonical: bool = False):
-        if _canonical:
-            clean = terms
-        else:
-            p = ctx.p
-            n = ctx.nvars
-            clean: dict[Monomial, int] = {}
-            for mono, coeff in dict(terms).items():
-                mono = tuple(mono)
-                if len(mono) != n:
-                    raise ValueError(f"monomial {mono} has wrong arity for {ctx!r}")
+        if not _canonical:
+            terms = dict(terms)
+            for mono in terms:
+                if len(mono) != ctx.nvars:
+                    raise ValueError(f"monomial {tuple(mono)} has wrong arity for {ctx!r}")
                 if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in monomial {mono}")
-                c = coeff % p
-                if c:
-                    clean[mono] = (clean.get(mono, 0) + c) % p
-                    if not clean[mono]:
-                        del clean[mono]
+                    raise ValueError(f"negative exponent in monomial {tuple(mono)}")
+            # the kernel makes the keys tuples and reduces the coefficients
+            terms = _shifted_sum([((0,) * ctx.nvars, 1, terms)], ctx.p)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -160,52 +159,27 @@ class Polynomial:
 
     def __add__(self, other: Polynomial) -> Polynomial:
         _check_same_context(self, other)
-        p = self.ctx.p
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = (out.get(mono, 0) + c) % p
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return Polynomial(self.ctx, out, _canonical=True)
+        zero = (0,) * self.ctx.nvars
+        return _combine(self.ctx, [(zero, 1, self.terms), (zero, 1, other.terms)])
 
     def __neg__(self) -> Polynomial:
-        p = self.ctx.p
-        return Polynomial(
-            self.ctx, {m: p - c for m, c in self.terms.items()}, _canonical=True
-        )
+        return self.scale_term((0,) * self.ctx.nvars, -1)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
+        _check_same_context(self, other)
+        zero = (0,) * self.ctx.nvars
+        return _combine(self.ctx, [(zero, 1, self.terms), (zero, -1, other.terms)])
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         _check_same_context(self, other)
-        p = self.ctx.p
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, int] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                s = (out.get(mono, 0) + c1 * c2) % p
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        return Polynomial(self.ctx, out, _canonical=True)
+        return _combine(self.ctx, [(m, c, b) for m, c in a.items()])
 
     def scale_term(self, mono: Monomial, coeff: int = 1) -> Polynomial:
-        """Multiply by the single term coeff * x^mono (fast path)."""
-        p = self.ctx.p
-        coeff %= p
-        if not coeff:
-            return Polynomial.zero(self.ctx)
-        out = {}
-        for m, c in self.terms.items():
-            out[tuple(e1 + e2 for e1, e2 in zip(m, mono))] = (c * coeff) % p
-        return Polynomial(self.ctx, out, _canonical=True)
+        """Multiply by the single term coeff * x^mono."""
+        return _combine(self.ctx, [(mono, coeff, self.terms)])
 
     def frobenius_stretch(self, e: int) -> Polynomial:
         """Return self**(p**e), using that c**(p**e) = c for c in F_p."""
@@ -263,7 +237,7 @@ class Polynomial:
             powers = nxt
         # only the top power of the full sum is needed
         parts = [(m, c * fact[d] % p, powers[d - a]) for a, (m, c) in enumerate(rows[-1])]
-        return Polynomial(ctx, _shifted_sum(parts, p), _canonical=True)
+        return _combine(ctx, parts)
 
     def __pow__(self, r: int) -> Polynomial:
         """f**r as the product of (f**d_i)**(p**i) over the base-p digits d_i.

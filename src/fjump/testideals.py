@@ -82,14 +82,19 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
         n //= p
         key = None if memo is None else (f, d, J.groebner_basis())
         if key is not None and key in memo:
-            J = memo[key]
-            continue
-        scaled = J.scale(f._small_pow(d)) if d else J
-        J = frobenius_root_ideal(scaled, 1)
-        # regenerate from the reduced basis so generator lists stay short
-        J = J._with_basis(J.groebner_basis())
-        if key is not None:
-            memo[key] = J
+            step = memo[key]
+        else:
+            root = frobenius_root_ideal(J.scale(f._small_pow(d)) if d else J, 1)
+            # regenerate from the reduced basis so generator lists stay short
+            step = root._with_basis(root.groebner_basis())
+            if key is not None:
+                memo[key] = step
+        # with only 0 digits left each step is J -> I_1(J), which contains J
+        # (each element lies in the ideal of its Frobenius parts): J grows
+        # until the first step that returns it, and stays from then on
+        if not (d or n) and step == J:
+            break
+        J = step
     if n:
         # f^n is the product of (f^d)^(p^i) over the base-p digits d of n;
         # f^d has at most C(d + k - 1, k - 1) terms (f with k terms) and at

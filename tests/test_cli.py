@@ -215,6 +215,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "fjump: need beta <= 1048576, got 1048577\n"
 
+    def test_chain_beta_at_cap(self, capsys):
+        # past the first digit 1 each of the 2^20 steps maps <1> to itself
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "chain", "-p", "2", "-a", "1", "-b", "1048576", "x")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == "C_1 = 1\nC_2 = 1\nstab_index = 1"
+
     def test_nilcmp_gamma_too_long_to_print(self, capsys, monkeypatch):
         # refused before either chain is taken
         monkeypatch.setattr(chains, "chain", None)

@@ -17,6 +17,8 @@ from fjump import (  # noqa: E402
     reduced_groebner,
     tau,
 )
+from fjump.ideals import _s_poly  # noqa: E402
+from fjump.ring import grevlex_key  # noqa: E402
 
 from conftest import reassemble  # noqa: E402
 
@@ -113,3 +115,85 @@ def test_tau_monotone_in_c(case, c, d):
     _, (f,) = case
     c, d = sorted((c, d))
     assert tau(f, c).contains(tau(f, d))
+
+
+KERNEL_CONTEXTS = [
+    RingContext(p, names) for p in (2, 3, 65521) for names in (("x",), ("x", "y"))
+]
+
+
+def _naive_product(ctx, *factors):
+    """The product of term maps, every pair of terms multiplied out; integer
+    coefficients, not reduced."""
+    out = {(0,) * ctx.nvars: 1}
+    for factor in factors:
+        nxt = {}
+        for m1, c1 in out.items():
+            for m2, c2 in factor.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                nxt[mono] = nxt.get(mono, 0) + c1 * c2
+        out = nxt
+    return out
+
+
+def _naive_sum(ctx, *summands):
+    """The sum of integer term maps, reduced mod p only at the end."""
+    total = {}
+    for summand in summands:
+        for mono, c in summand.items():
+            total[mono] = total.get(mono, 0) + c
+    return {mono: c % ctx.p for mono, c in total.items() if c % ctx.p}
+
+
+def _assert_terms(poly, expected):
+    assert poly.terms == expected
+    assert all(1 <= c < poly.ctx.p for c in poly.terms.values())
+
+
+@st.composite
+def colliding_pair(draw):
+    """f and g over few monomials, g cancelling some terms of f."""
+    ctx = draw(st.sampled_from(KERNEL_CONTEXTS))
+    f = draw(polys(ctx, max_terms=6, max_exp=2))
+    g = dict(draw(polys(ctx, max_terms=6, max_exp=2)).terms)
+    if f.terms:
+        for mono in draw(st.lists(st.sampled_from(sorted(f.terms)), max_size=3)):
+            g[mono] = ctx.p - f.terms[mono]
+    return ctx, f, Polynomial(ctx, g)
+
+
+@settings
+@hypothesis.given(colliding_pair(), st.data())
+def test_arithmetic_matches_naive_oracle(case, data):
+    ctx, f, g = case
+    minus_one = {(0,) * ctx.nvars: -1}
+    _assert_terms(f * g, _naive_sum(ctx, _naive_product(ctx, f.terms, g.terms)))
+    _assert_terms(f + g, _naive_sum(ctx, f.terms, g.terms))
+    _assert_terms(f - g, _naive_sum(ctx, f.terms, _naive_product(ctx, g.terms, minus_one)))
+    _assert_terms(-f, _naive_sum(ctx, _naive_product(ctx, f.terms, minus_one)))
+    mono = data.draw(st.tuples(*[st.integers(0, 3)] * ctx.nvars))
+    coeff = data.draw(st.sampled_from((0, -1, ctx.p)) | st.integers(-(ctx.p**2), ctx.p**2))
+    expected = _naive_sum(ctx, _naive_product(ctx, f.terms, {mono: coeff}))
+    _assert_terms(f.scale_term(mono, coeff), expected)
+
+
+def _monic(ctx, f):
+    terms = dict(f.terms)
+    terms[max(terms, key=grevlex_key)] = 1
+    return Polynomial(ctx, terms)
+
+
+@settings
+@hypothesis.given(colliding_pair())
+def test_s_poly_matches_naive_oracle(case):
+    ctx, f, g = case
+    hypothesis.assume(f.terms and g.terms)
+    f, g = _monic(ctx, f), _monic(ctx, g)
+    lf, lg = max(f.terms, key=grevlex_key), max(g.terms, key=grevlex_key)
+    lcm = tuple(map(max, lf, lg))
+    expected = _naive_sum(
+        ctx,
+        _naive_product(ctx, f.terms, {tuple(a - b for a, b in zip(lcm, lf)): 1}),
+        _naive_product(ctx, g.terms, {tuple(a - b for a, b in zip(lcm, lg)): -1}),
+    )
+    _assert_terms(_s_poly(f, g), expected)
