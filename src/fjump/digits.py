@@ -67,9 +67,9 @@ def canonicalize(c: Fraction, p: int) -> CanonicalForm:
         den //= p
         d += 1
     beta = multiplicative_order(p, den)
-    a = c * p**d * (p**beta - 1)
-    assert a.denominator == 1
-    return CanonicalForm(int(a), d, beta, p)
+    a, rest = divmod(c.numerator * p**d * (p**beta - 1), c.denominator)
+    assert rest == 0
+    return CanonicalForm(a, d, beta, p)
 
 
 @dataclass(frozen=True)

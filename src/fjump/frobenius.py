@@ -29,8 +29,8 @@ def frobenius_decompose(f: Polynomial, e: int) -> dict[Monomial, Polynomial]:
     q = f.ctx.p**e
     split: dict[Monomial, dict[Monomial, int]] = {}
     for mono, c in f.terms.items():
-        lam = tuple(x % q for x in mono)
-        outer = tuple(x // q for x in mono)
+        lam = tuple([x % q for x in mono])
+        outer = tuple([x // q for x in mono])
         split.setdefault(lam, {})[outer] = c
     return {lam: Polynomial(f.ctx, terms, _canonical=True) for lam, terms in split.items()}
 
@@ -45,11 +45,15 @@ def frobenius_root_ideal(I: Ideal, e: int) -> Ideal:
 
     Generated by the decomposition parts of any generating set; the result
     does not depend on the choice (the generator-independence property is
-    exercised by the test suite).
+    exercised by the test suite). A part that is a single constant term
+    makes the root <1> at once.
     """
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
     gens: list[Polynomial] = []
     for g in I.generators:
-        gens.extend(frobenius_decompose(g, e).values())
+        for part in frobenius_decompose(g, e).values():
+            if len(part.terms) == 1 and part.is_constant():
+                return Ideal.unit(I.ctx)
+            gens.append(part)
     return Ideal(I.ctx, tuple(gens))

@@ -3,7 +3,8 @@
 Ideals carry a generator list and a lazily computed, cached reduced
 Groebner basis under grevlex, the only monomial order; every predicate
 (membership, containment, equality) routes through that canonical basis.
-Division takes terms from one grevlex heap, whatever the basis. Most
+Division takes terms from one grevlex heap, whatever the basis. One
+nonzero generator is its own reduced basis once made monic. Most
 inputs are all-monomial, and their reduced basis is just the minimal
 monomial generators, so those are found first and the other generators
 are reduced by them. Buchberger's algorithm runs only on what remains,
@@ -119,6 +120,9 @@ def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
     BUCHBERGER_PAIR_BUDGET bounds the number of S-pairs taken from the queue.
     """
     gens = [g for g in generators if not g.is_zero()]
+    if len(gens) == 1:  # one polynomial is the reduced basis of its ideal
+        (g,) = gens
+        return (g.scale_term((0,) * ctx.nvars, pow(g.terms[g.leading_monomial()], -1, ctx.p)),)
     # minimal monomial generators (a constant included): a proper divisor
     # sorts before its multiples
     lts: list[Monomial] = []
@@ -223,6 +227,8 @@ class Ideal:
         return all(self.contains_poly(g) for g in other.generators)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Ideal):
             return NotImplemented
         if self.ctx != other.ctx:

@@ -59,7 +59,7 @@ class RingContext:
         return len(self.vars)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingContext)
             and self.p == other.p
             and self.vars == other.vars
@@ -86,8 +86,9 @@ def _shifted_sum(parts, p: int) -> dict[Monomial, int]:
     """The terms of sum c * x^m * g over (m, c, terms of g) in parts, mod p."""
     out: dict[Monomial, int] = {}
     for m, c, g in parts:
+        shift = any(m)
         for mono, coeff in g.items():
-            key = tuple(map(add, mono, m))
+            key = tuple(map(add, mono, m)) if shift else mono
             out[key] = out.get(key, 0) + c * coeff
     return {mono: r for mono, c in out.items() if (r := c % p)}
 
@@ -109,13 +110,13 @@ class Polynomial:
 
     def __init__(self, ctx: RingContext, terms, *, _canonical: bool = False):
         if not _canonical:
-            terms = dict(terms)
+            terms = {tuple(mono): c for mono, c in dict(terms).items()}
             for mono in terms:
                 if len(mono) != ctx.nvars:
-                    raise ValueError(f"monomial {tuple(mono)} has wrong arity for {ctx!r}")
+                    raise ValueError(f"monomial {mono} has wrong arity for {ctx!r}")
                 if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in monomial {tuple(mono)}")
-            # the kernel makes the keys tuples and reduces the coefficients
+                    raise ValueError(f"negative exponent in monomial {mono}")
+            # the kernel reduces the coefficients and drops the zeros
             terms = _shifted_sum([((0,) * ctx.nvars, 1, terms)], ctx.p)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", terms)
@@ -267,7 +268,7 @@ class Polynomial:
     # -- comparisons --------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Polynomial)
             and self.ctx == other.ctx
             and self.terms == other.terms

@@ -81,9 +81,8 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
         d = n % p
         n //= p
         key = None if memo is None else (f, d, J.groebner_basis())
-        if key is not None and key in memo:
-            step = memo[key]
-        else:
+        step = None if key is None else memo.get(key)
+        if step is None:
             root = frobenius_root_ideal(J.scale(f._small_pow(d)) if d else J, 1)
             # regenerate from the reduced basis so generator lists stay short
             step = root._with_basis(root.groebner_basis())

@@ -91,6 +91,32 @@ class TestRootOfIdeal:
         assert frobenius_root_ideal(Ideal(ctx2), 1).is_zero()
         assert frobenius_root_ideal(Ideal.unit(ctx2), 2).is_unit()
 
+    def test_constant_part_is_unit(self):
+        # f = x*h^(p^e) + c*x^lam with lam in [0, p^e)^2: the class of lam holds
+        # the constant c alone, so the root is <1>, unless lam = (1, 0), where
+        # it holds h + c. The ideal of all parts is built without the shortcut.
+        rng = random.Random(43)
+        for p in (2, 3, 5):
+            ctx = RingContext(p, ("x", "y"))
+            for e in (1, 2):
+                for _ in range(10):
+                    lam = (rng.randrange(2), rng.randrange(p**e))
+                    hq = random_poly(rng, ctx, max_terms=3, max_exp=3).frobenius_stretch(e)
+                    f = hq.scale_term((1, 0)) + Polynomial(ctx, {lam: rng.randint(1, p - 1)})
+                    I = Ideal(ctx, (random_poly(rng, ctx), f))
+                    parts = [h for g in I.generators for h in frobenius_decompose(g, e).values()]
+                    root = frobenius_root_ideal(I, e)
+                    assert root == Ideal(ctx, parts)
+                    assert root.is_unit() or lam == (1, 0)
+        assert frobenius_root_ideal(ideal(RingContext(2, ("x", "y")), "x + y^2"), 1).is_unit()
+
+    def test_constant_among_other_terms_is_not_unit(self):
+        for p in (2, 3, 5):
+            ctx = RingContext(p, ("x",))
+            root = frobenius_root_ideal(ideal(ctx, f"1 + x^{p}"), 1)
+            assert root == ideal(ctx, "1 + x")
+            assert not root.is_unit()
+
     def test_perfect_powers(self, ctx2):
         assert frobenius_root_ideal(ideal(ctx2, "x^2", "y^2"), 1) == ideal(ctx2, "x", "y")
 

@@ -157,6 +157,24 @@ class TestTextbookOracle:
                 rng.shuffle(gens)
                 self.check(ctx, gens)
 
+    def test_one_generator(self):
+        # a constant, a monomial and mixed polynomials, each with leading
+        # coefficient p - 1 (not 1 unless p = 2), alone and among zeros
+        for rng, ctx in self.cases(93):
+            lc, zero = ctx.p - 1, Polynomial.zero(ctx)
+            gens = [
+                Polynomial.constant(ctx, lc),
+                Polynomial(ctx, {_random_monomials(rng, ctx.nvars, 1, 4)[0]: lc}),
+            ]
+            while len(gens) < 8:
+                g = random_poly(rng, ctx, max_terms=5, max_exp=4)
+                if len(g.terms) > 1:
+                    head = g.terms[max(g.terms, key=grevlex_key)]
+                    gens.append(g.scale_term((0,) * ctx.nvars, lc * pow(head, -1, ctx.p)))
+            for g in gens:
+                self.check(ctx, [g])
+                self.check(ctx, [zero, g, zero])
+
 
 class TestNormalFormMembership:
     def test_normal_form_examples(self, ctx2):
