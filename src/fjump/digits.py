@@ -139,6 +139,8 @@ def orbit(s: Fraction, p: int, m: int = 1) -> OrbitReport:
     is n -> p*n mod m*den(s), so the orbit has at most m*den(s) elements.
     Raises once the orbit has more than MAX_ORBIT_SIZE elements.
     """
+    if m < 1:
+        raise ValueError(f"need a modulus m >= 1, got {m}")
     if not (0 <= s < m):
         raise ValueError(f"need 0 <= s < {m}, got {s}")
     den = s.denominator

@@ -4,8 +4,10 @@ Ideals carry a generator list and a lazily computed, cached reduced
 Groebner basis under grevlex, the only monomial order; every predicate
 (membership, containment, equality) routes through that canonical basis.
 Division takes terms from one grevlex heap, whatever the basis. One
-nonzero generator is its own reduced basis once made monic. Most
-inputs are all-monomial, and their reduced basis is just the minimal
+nonzero generator is its own reduced basis once made monic, and as
+LT(h*g) = LT(h)*LT(g), h*J has the basis h*G (G the reduced basis of J,
+h monic) once the tails are reduced: <1> and every h*J skip Buchberger.
+Most inputs are all-monomial, and their reduced basis is just the minimal
 monomial generators, so those are found first and the other generators
 are reduced by them. Buchberger's algorithm runs only on what remains,
 with the Gebauer-Moeller pair updates and the normal selection strategy,
@@ -81,6 +83,19 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     return Polynomial(f.ctx, remainder, _canonical=True)
 
 
+def _monic(g: Polynomial) -> Polynomial:
+    lc = g.terms[g.leading_monomial()]
+    return g if lc == 1 else g.scale_term((0,) * g.ctx.nvars, pow(lc, -1, g.ctx.p))
+
+
+def _reduce_tails(minimal: list[Polynomial]) -> tuple[Polynomial, ...]:
+    """The reduced basis from a monic Groebner basis whose leading terms
+    divide no one another: each element's tail is reduced by the others."""
+    reduced = [normal_form(g, minimal[:n] + minimal[n + 1 :]) for n, g in enumerate(minimal)]
+    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+    return tuple(reduced)
+
+
 def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial of two monic polynomials."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
@@ -121,8 +136,7 @@ def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
     """
     gens = [g for g in generators if not g.is_zero()]
     if len(gens) == 1:  # one polynomial is the reduced basis of its ideal
-        (g,) = gens
-        return (g.scale_term((0,) * ctx.nvars, pow(g.terms[g.leading_monomial()], -1, ctx.p)),)
+        return (_monic(gens[0]),)
     # minimal monomial generators (a constant included): a proper divisor
     # sorts before its multiples
     lts: list[Monomial] = []
@@ -151,8 +165,7 @@ def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
             if s.is_constant():
                 return (Polynomial.one(ctx),)
             lts.append(s.leading_monomial())
-            monic = s.scale_term((0,) * ctx.nvars, pow(s.terms[lts[-1]], -1, ctx.p))
-            basis.append(monic)
+            basis.append(_monic(s))
             _gm_update(lts, active, pairs, len(basis) - 1)
         if not pairs:
             break
@@ -164,13 +177,8 @@ def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
         _, i, j, _ = heapq.heappop(pairs)
         todo = [_s_poly(basis[i], basis[j])]
 
-    # the active leading terms divide no one another: reduce the tails
-    minimal = [basis[k] for k in active]
-    reduced = [
-        normal_form(g, minimal[:n] + minimal[n + 1 :]) for n, g in enumerate(minimal)
-    ]
-    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
-    return tuple(reduced)
+    # the active leading terms divide no one another
+    return _reduce_tails([basis[k] for k in active])
 
 
 class Ideal:
@@ -194,7 +202,7 @@ class Ideal:
 
     @classmethod
     def unit(cls, ctx: RingContext) -> Ideal:
-        return cls(ctx, (Polynomial.one(ctx),))
+        return cls(ctx)._with_basis((Polynomial.one(ctx),))
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._gb is None:
@@ -240,10 +248,14 @@ class Ideal:
     # -- arithmetic ---------------------------------------------------
 
     def scale(self, h: Polynomial) -> Ideal:
-        """The ideal h * self."""
+        """The ideal h * self, whose reduced basis is h * G with h made monic
+        and the tails reduced (G the reduced basis of self)."""
         if self.ctx != h.ctx:
             raise ValueError("ring context mismatch")
-        return Ideal(self.ctx, tuple(h * g for g in self.generators))
+        if h.is_zero():
+            return self._with_basis(())
+        h = _monic(h)
+        return self._with_basis(_reduce_tails([h * g for g in self.groebner_basis()]))
 
     def bracket_power(self, q: int) -> Ideal:
         """The ideal generated by g**q over generators g, for q a power of p.

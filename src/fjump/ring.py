@@ -106,7 +106,7 @@ class Polynomial:
     polynomials have identical term maps.
     """
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "terms", "_hash", "_lm")
 
     def __init__(self, ctx: RingContext, terms, *, _canonical: bool = False):
         if not _canonical:
@@ -121,6 +121,7 @@ class Polynomial:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lm", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -286,9 +287,12 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        if self._lm is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            # the grevlex-largest monomial minimizes -grevlex_key(m)
+            object.__setattr__(self, "_lm", min(self.terms, key=lambda m: (-sum(m), m[::-1])))
+        return self._lm
 
     def __str__(self):
         from .grammar import format_poly

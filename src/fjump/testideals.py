@@ -83,7 +83,9 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
         key = None if memo is None else (f, d, J.groebner_basis())
         step = None if key is None else memo.get(key)
         if step is None:
-            root = frobenius_root_ideal(J.scale(f._small_pow(d)) if d else J, 1)
+            fd = f._small_pow(d)  # the root needs generators of f^d * J, no basis
+            product = Ideal(J.ctx, [fd * g for g in J.generators]) if d else J
+            root = frobenius_root_ideal(product, 1)
             # regenerate from the reduced basis so generator lists stay short
             step = root._with_basis(root.groebner_basis())
             if key is not None:
@@ -155,7 +157,7 @@ def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
     # whose chain starts from <f^ceil(g)>
     m = (cf.a - 1) // q_minus if left else cf.a // q_minus
     a = cf.a - m * q_minus
-    seed = Ideal.unit(f.ctx) if left or not a else Ideal(f.ctx, (f,))
+    seed = Ideal.unit(f.ctx) if left or not a else Ideal.unit(f.ctx).scale(f)
     trace = _phi_fixed_point(f, a, cf.beta, seed)
     return _root_scaled(f, m, cf.d, trace[-1])
 

@@ -166,6 +166,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "orbit", "-p", p, "1/3")
         assert code == 2 and "prime" in err
 
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_orbit_modulus_below_one(self, capsys, m):
+        code, out, err = run(capsys, "orbit", "-p", "3", "-m", m, "1/3")
+        assert code == 2 and out == ""
+        assert err == f"fjump: need a modulus m >= 1, got {m}\n"
+
     def test_orbit_too_large(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "orbit", "-p", "2", "-m", "1000000007", "1/3")

@@ -176,6 +176,42 @@ class TestTextbookOracle:
                 self.check(ctx, [zero, g, zero])
 
 
+class TestCarriedBasis:
+    """Bases that ideals carry from how they were built (<1> and h * J, with
+    no Buchberger run) against the textbook oracle on the products."""
+
+    def check(self, J, h):
+        expected = _textbook_groebner([h * g for g in J.generators], J.ctx)
+        assert J.scale(h).groebner_basis() == expected
+
+    def test_unit(self):
+        for p in (2, 3, 5, 7):
+            for nvars in (1, 2, 3):
+                ctx = RingContext(p, ("x", "y", "z")[:nvars])
+                expected = reduced_groebner([Polynomial.constant(ctx, p - 1)], ctx)
+                assert Ideal.unit(ctx).groebner_basis() == expected == (Polynomial.one(ctx),)
+
+    def test_tails_need_reducing(self, ctx3):
+        # (x+y)x = x^2 + xy has the tail xy, the leading term of (x+y)y
+        J, h = ideal(ctx3, "x", "y"), poly(ctx3, "2x + 2y")
+        assert J.scale(h).groebner_basis() == (poly(ctx3, "xy + y^2"), poly(ctx3, "x^2 - y^2"))
+        self.check(J, h)
+
+    def test_seeded(self):
+        rng = random.Random(141)
+        for p in (2, 3, 5, 7):
+            for nvars in (1, 2, 3):
+                ctx = RingContext(p, ("x", "y", "z")[:nvars])
+                for _ in range(6):
+                    J = random_ideal(rng, ctx, max_exp=3)
+                    monos = set(_random_monomials(rng, nvars, 3, 2))
+                    h = Polynomial(ctx, {m: rng.randint(1, p - 1) for m in monos})
+                    if len(h.terms) > 1 and p > 2:  # leading coefficient 2, not 1
+                        h = h.scale_term((0,) * nvars, 2 * pow(h.terms[h.leading_monomial()], -1, p))
+                    for factor in (h, Polynomial.constant(ctx, p - 1), Polynomial.zero(ctx)):
+                        self.check(J, factor)
+
+
 class TestNormalFormMembership:
     def test_normal_form_examples(self, ctx2):
         I = ideal(ctx2, "x", "y")
