@@ -19,13 +19,9 @@ from __future__ import annotations
 import heapq
 
 from .grammar import format_poly
-from .ring import Monomial, Polynomial, RingContext, _combine, grevlex_key
+from .ring import BudgetExceededError, Monomial, Polynomial, RingContext, _combine, grevlex_key
 
 BUCHBERGER_PAIR_BUDGET = 200_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A configured computation budget was exhausted before completion."""
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:

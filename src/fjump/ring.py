@@ -4,6 +4,12 @@ Coefficients are plain ints in [1, p); monomials are exponent tuples of
 length n with unbounded non-negative entries. Polynomials are immutable
 after construction and safe to share across threads. One kernel,
 ``_shifted_sum``, does every sum, product and term scaling.
+
+``__pow__`` builds every power the kernel takes. Before building a term
+it refuses f^n whose bound, the product over the base-p digits d of n of
+min(C(d + k - 1, k - 1), C(d t + v, v)), exceeds ``EXPANSION_TERM_BUDGET``:
+f^d has at most that many terms, the splits of d over the k terms of f or
+the monomials of degree at most d t (t = deg f, in v variables).
 """
 
 from __future__ import annotations
@@ -17,8 +23,13 @@ Monomial = tuple[int, ...]
 
 MAX_VARS = 8
 MAX_CHAR = 1 << 16
+EXPANSION_TERM_BUDGET = 1 << 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+class BudgetExceededError(RuntimeError):
+    """A configured computation budget was exhausted before completion."""
 
 
 def is_prime(p: int) -> bool:
@@ -96,6 +107,18 @@ def _shifted_sum(parts, p: int) -> dict[Monomial, int]:
 def _combine(ctx: RingContext, parts) -> Polynomial:
     """The polynomial sum c * x^m * g over (m, c, terms of g) in parts."""
     return Polynomial(ctx, _shifted_sum(parts, ctx.p), _canonical=True)
+
+
+def _term_bound(f: Polynomial, n: int, deg: int | None = None) -> int:
+    """The bound on the terms of f^n (module docstring), from the split counts
+    alone if deg is None; a partial product once it passes the budget."""
+    p, k, v = f.ctx.p, len(f.terms), f.ctx.nvars
+    bound = 1
+    while n and bound <= EXPANSION_TERM_BUDGET:
+        n, d = divmod(n, p)
+        splits = math.comb(d + k - 1, k - 1)
+        bound *= splits if deg is None else min(splits, math.comb(d * deg + v, v))
+    return bound
 
 
 class Polynomial:
@@ -241,25 +264,29 @@ class Polynomial:
         parts = [(m, c * fact[d] % p, powers[d - a]) for a, (m, c) in enumerate(rows[-1])]
         return _combine(ctx, parts)
 
-    def __pow__(self, r: int) -> Polynomial:
-        """f**r as the product of (f**d_i)**(p**i) over the base-p digits d_i.
+    def __pow__(self, n: int) -> Polynomial:
+        """f**n as the product of (f**d)**(p**i) over the base-p digits d of n.
 
         Each digit power is built one term of f at a time (``_small_pow``)
-        and each p-power factor is a cheap exponent stretch, so intermediate
-        blowup stays proportional to the size of the result.
+        and each p-power factor is a cheap exponent stretch; a power past the
+        term budget (module docstring) is refused before either is built.
         """
-        if r < 0:
+        if n < 0:
             raise ValueError("negative exponent")
-        if r == 0:
+        if n == 0:
             return Polynomial.one(self.ctx)
         if self.is_zero():
             return self
+        if _term_bound(self, n) > EXPANSION_TERM_BUDGET:  # deg f only when needed
+            if _term_bound(self, n, self.total_degree()) > EXPANSION_TERM_BUDGET:
+                raise BudgetExceededError(
+                    f"expanding f^n: its term bound exceeds {EXPANSION_TERM_BUDGET}"
+                )
         p = self.ctx.p
         result = None
         level = 0
-        while r:
-            d = r % p
-            r //= p
+        while n:
+            n, d = divmod(n, p)
             if d:
                 factor = self._small_pow(d).frobenius_stretch(level)
                 result = factor if result is None else result * factor

@@ -51,8 +51,6 @@ from .ring import Polynomial
 PHI_STEP_BUDGET = 64
 DEFAULT_DEPTH = 4
 NU_EXPONENT_BUDGET = 1 << 20
-# the largest bound on the terms of f^n that _root_scaled expands
-EXPANSION_TERM_BUDGET = 1 << 20
 
 _step_memo: ContextVar[dict | None] = ContextVar("_step_memo", default=None)
 
@@ -78,13 +76,14 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
     p = f.ctx.p
     memo = _step_memo.get()
     for _ in range(e):
-        d = n % p
-        n //= p
+        n, d = divmod(n, p)
         key = None if memo is None else (f, d, J.groebner_basis())
         step = None if key is None else memo.get(key)
         if step is None:
-            fd = f._small_pow(d)  # the root needs generators of f^d * J, no basis
-            product = Ideal(J.ctx, [fd * g for g in J.generators]) if d else J
+            product = J
+            if d:  # the root needs generators of f^d * J, no basis
+                fd = f**d
+                product = Ideal(J.ctx, [fd * g for g in J.generators])
             root = frobenius_root_ideal(product, 1)
             # regenerate from the reduced basis so generator lists stay short
             step = root._with_basis(root.groebner_basis())
@@ -97,19 +96,6 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
             break
         J = step
     if n:
-        # f^n is the product of (f^d)^(p^i) over the base-p digits d of n;
-        # f^d has at most C(d + k - 1, k - 1) terms (f with k terms) and at
-        # most as many as there are monomials of degree <= d*deg(f)
-        k, deg, v = len(f.terms), f.total_degree(), f.ctx.nvars
-        bound, rest = 1, n
-        while rest and bound <= EXPANSION_TERM_BUDGET:
-            d = rest % p
-            bound *= min(math.comb(d + k - 1, k - 1), math.comb(d * deg + v, v))
-            rest //= p
-        if bound > EXPANSION_TERM_BUDGET:
-            raise BudgetExceededError(
-                f"expanding f^n: its term bound exceeds {EXPANSION_TERM_BUDGET}"
-            )
         J = J.scale(f**n)
     return J
 
@@ -157,7 +143,7 @@ def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
     # whose chain starts from <f^ceil(g)>
     m = (cf.a - 1) // q_minus if left else cf.a // q_minus
     a = cf.a - m * q_minus
-    seed = Ideal.unit(f.ctx) if left or not a else Ideal.unit(f.ctx).scale(f)
+    seed = Ideal.unit(f.ctx) if left or not a else Ideal(f.ctx, (f,))
     trace = _phi_fixed_point(f, a, cf.beta, seed)
     return _root_scaled(f, m, cf.d, trace[-1])
 
@@ -208,24 +194,14 @@ def is_jumping(f: Polynomial, c: Fraction) -> Jump:
 
 
 def _pow_normal_form(f: Polynomial, r: int, I: Ideal) -> Polynomial:
-    """Normal form of f^r modulo I, reducing after every multiplication."""
+    """Normal form of f^r modulo I, reducing each digit power and each product."""
     p = f.ctx.p
     result = Polynomial.one(f.ctx)
     level = 0
     while r:
-        d = r % p
-        r //= p
+        r, d = divmod(r, p)
         if d:
-            piece = Polynomial.one(f.ctx)
-            base = I.normal_form(f)
-            k = d
-            while k:
-                if k & 1:
-                    piece = I.normal_form(piece * base)
-                k >>= 1
-                if k:
-                    base = I.normal_form(base * base)
-            result = I.normal_form(result * piece.frobenius_stretch(level))
+            result = I.normal_form(result * I.normal_form(f**d).frobenius_stretch(level))
         level += 1
     return result
 

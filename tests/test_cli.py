@@ -196,6 +196,15 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err == "fjump: expanding f^n: its term bound exceeds 1048576\n"
 
+    @pytest.mark.parametrize("command", ["tau -c 1/2", "jumps -B 1"])
+    def test_dense_digit_power_budget(self, capsys, command):
+        # at p=1009 both take the digit power f^504, whose term bound is
+        # C(507, 3) > 2^20 (one root of the jump scan is at r = 504)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command.split(), "-p", "1009", "x+y+z+1")
+        assert time.perf_counter() - start < 2
+        assert code == 4 and out == "" and "expanding f" in err
+
     def test_dense_power_is_expanded(self, capsys):
         # C(29, 9) splits of 20 over 10 terms, but f^20 has only 181 terms
         f = "+".join(f"{i + 1}*x^{i}" for i in range(10))

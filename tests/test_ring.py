@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fjump import Polynomial, RingContext
+from fjump import BudgetExceededError, Polynomial, RingContext, ring
 
 from conftest import poly, random_poly
 
@@ -191,6 +191,30 @@ class TestDigitPower:
             powers = _powers_by_multiplication(f, p**3)
             for r in range(p, p**3):
                 assert f**r == powers[r], (f, r)
+
+
+class TestPowerBudget:
+    """__pow__ refuses f^n exactly when its term bound passes the budget."""
+
+    @pytest.mark.parametrize(
+        "p,text,n,bound",
+        [
+            # digits 1, 2 of 15: min(C(6, 5), C(4, 2)) * min(C(7, 5), C(6, 2)),
+            # the degree bound taken on the digit 2
+            (7, "1+x+y+x^2+x*y+y^2", 15, 6 * 15),
+            # digits 2, 3 of 17: the split counts C(5, 3) * C(6, 3), below the
+            # degree bounds C(8, 2) * C(11, 2)
+            (5, "1+x^3+y^3+x*y", 17, 10 * 20),
+        ],
+    )
+    def test_refused_only_past_the_bound(self, monkeypatch, p, text, n, bound):
+        f = poly(RingContext(p, ("x", "y")), text)
+        expected = _powers_by_multiplication(f, n + 1)[n]
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", bound)
+        assert f**n == expected
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", bound - 1)
+        with pytest.raises(BudgetExceededError, match=r"expanding f\^n"):
+            f**n
 
 
 def test_hash_consistency(ctx3):

@@ -16,6 +16,7 @@ from fjump import (
     is_jumping,
     nu,
     phi_step,
+    ring,
     tau,
     tau_dyadic,
     tau_left_limit,
@@ -108,18 +109,20 @@ class TestExpansionBudget:
             for _ in range(15):
                 f = random_poly(rng, ctx, max_terms=4, max_exp=4)
                 n = rng.randint(1, 60)
-                monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", len((f**n).terms) - 1)
-                with pytest.raises(BudgetExceededError, match="expanding f"):
-                    testideals._root_scaled(f, n, 0, Ideal.unit(ctx))
+                # each f**n is built under the default budget, not the last patch
+                with monkeypatch.context() as patch:
+                    patch.setattr(ring, "EXPANSION_TERM_BUDGET", len((f**n).terms) - 1)
+                    with pytest.raises(BudgetExceededError, match="expanding f"):
+                        testideals._root_scaled(f, n, 0, Ideal.unit(ctx))
 
     def test_bound_uses_degree_for_many_terms(self, monkeypatch):
         # f^20 for a 10-term f of degree 3 in x, y: C(29, 9) > 10^7 splits,
         # but at most C(62, 2) = 1891 monomials of degree <= 60
         ctx = RingContext(31, ("x", "y"))
         f = poly(ctx, "1+x+y+x^2+x*y+y^2+x^3+x^2*y+x*y^2+y^3")
-        monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", 1891)
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", 1891)
         assert tau(f, Fraction(20)) == Ideal(ctx, (f**20,))
-        monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", 1890)
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", 1890)
         with pytest.raises(BudgetExceededError, match="expanding f"):
             tau(f, Fraction(20))
 
@@ -127,9 +130,9 @@ class TestExpansionBudget:
         # over F_2, (x^2+y^3)^n has 2^(number of binary ones of n) terms
         f = poly(ctx2, "x^2+y^3")
         n = 0b1011001
-        monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", 16)
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", 16)
         assert tau(f, Fraction(n)) == Ideal(ctx2, (f**n,))
-        monkeypatch.setattr(testideals, "EXPANSION_TERM_BUDGET", 15)
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", 15)
         with pytest.raises(BudgetExceededError, match="expanding f"):
             tau(f, Fraction(n))
 
@@ -440,6 +443,39 @@ class TestScan:
             expected = Fraction(5, 6) if p % 6 == 1 else Fraction(5 * p - 1, 6 * p)
             assert report.complete, p
             assert report.coefficients() == [expected, Fraction(1)], p
+
+    @pytest.mark.parametrize(
+        "a,b,p",
+        [
+            (a, b, p)
+            for a in range(2, 8)
+            for b in range(a, 8)
+            for p in range(2, 50)
+            if all(p % k for k in range(2, p)) and p % math.lcm(a, b) == 1
+        ],
+    )
+    def test_diagonal_fpt_closed_form(self, a, b, p):
+        # Hernandez, "F-invariants of diagonal hypersurfaces" (Proc. AMS 143,
+        # 2015): for p = 1 mod lcm(a, b) the F-pure threshold of x^a + y^b is
+        # min(1, 1/a + 1/b), its value in characteristic 0
+        ctx = RingContext(p, ("x", "y"))
+        report = enumerate_jumps(poly(ctx, f"x^{a}+y^{b}"), Fraction(1))
+        expected = min(Fraction(1), Fraction(1, a) + Fraction(1, b))
+        assert report.jumps[0].c == expected
+        assert all(lo >= expected for lo, _ in report.unresolved)
+
+    @pytest.mark.parametrize("p,e", [(2, 4), (3, 3), (5, 2)])
+    def test_distinct_roots_bounded_by_monomials(self, p, e):
+        # the premise of a complete jump list: tau(f^c) for c in (0, 1] is
+        # generated in degree <= deg f, so I_e(f^r), r = 1..p^e, takes at
+        # most as many values as there are monomials of degree <= deg f;
+        # each value comes from the definition, the root of the expanded f^r
+        rng = random.Random(400 + p)
+        ctx = RingContext(p, ("x", "y"))
+        for _ in range(12):
+            f = random_poly(rng, ctx, max_terms=4, max_exp=3)
+            values = {frobenius_root_poly(f**r, e).groebner_basis() for r in range(1, p**e + 1)}
+            assert len(values) <= math.comb(2 + f.total_degree(), 2), f
 
     @pytest.mark.parametrize(
         "p,text,e,bound",
