@@ -3,13 +3,8 @@
 Coefficients are plain ints in [1, p); monomials are exponent tuples of
 length n with unbounded non-negative entries. Polynomials are immutable
 after construction and safe to share across threads. One kernel,
-``_shifted_sum``, does every sum, product and term scaling.
-
-``__pow__`` builds every power the kernel takes. Before building a term
-it refuses f^n whose bound, the product over the base-p digits d of n of
-min(C(d + k - 1, k - 1), C(d t + v, v)), exceeds ``EXPANSION_TERM_BUDGET``:
-f^d has at most that many terms, the splits of d over the k terms of f or
-the monomials of degree at most d t (t = deg f, in v variables).
+``_shifted_sum``, does every sum, product and term scaling; ``__pow__``
+refuses any power whose term bound passes ``EXPANSION_TERM_BUDGET``.
 """
 
 from __future__ import annotations
@@ -110,8 +105,10 @@ def _combine(ctx: RingContext, parts) -> Polynomial:
 
 
 def _term_bound(f: Polynomial, n: int, deg: int | None = None) -> int:
-    """The bound on the terms of f^n (module docstring), from the split counts
-    alone if deg is None; a partial product once it passes the budget."""
+    """Bound on the terms of f^n: the product over the base-p digits d of n of
+    min(C(d + k - 1, k - 1), C(d deg + v, v)), as f^d has at most the splits of
+    d over the k terms of f and the monomials of degree <= d deg in v variables.
+    Splits alone if deg is None; a partial product once past the budget."""
     p, k, v = f.ctx.p, len(f.terms), f.ctx.nvars
     bound = 1
     while n and bound <= EXPANSION_TERM_BUDGET:
@@ -269,7 +266,7 @@ class Polynomial:
 
         Each digit power is built one term of f at a time (``_small_pow``)
         and each p-power factor is a cheap exponent stretch; a power past the
-        term budget (module docstring) is refused before either is built.
+        term budget is refused before either is built.
         """
         if n < 0:
             raise ValueError("negative exponent")
@@ -277,11 +274,9 @@ class Polynomial:
             return Polynomial.one(self.ctx)
         if self.is_zero():
             return self
-        if _term_bound(self, n) > EXPANSION_TERM_BUDGET:  # deg f only when needed
-            if _term_bound(self, n, self.total_degree()) > EXPANSION_TERM_BUDGET:
-                raise BudgetExceededError(
-                    f"expanding f^n: its term bound exceeds {EXPANSION_TERM_BUDGET}"
-                )
+        budget = EXPANSION_TERM_BUDGET  # deg f only once the splits alone pass it
+        if _term_bound(self, n) > budget and _term_bound(self, n, self.total_degree()) > budget:
+            raise BudgetExceededError(f"expanding f^n: its term bound exceeds {budget}")
         p = self.ctx.p
         result = None
         level = 0

@@ -194,14 +194,19 @@ def is_jumping(f: Polynomial, c: Fraction) -> Jump:
 
 
 def _pow_normal_form(f: Polynomial, r: int, I: Ideal) -> Polynomial:
-    """Normal form of f^r modulo I, reducing each digit power and each product."""
-    p = f.ctx.p
-    result = Polynomial.one(f.ctx)
-    level = 0
+    """Normal form of f^r modulo I, reducing after every multiplication."""
+    result, level = Polynomial.one(f.ctx), 0
     while r:
-        r, d = divmod(r, p)
-        if d:
-            result = I.normal_form(result * I.normal_form(f**d).frobenius_stretch(level))
+        r, d = divmod(r, f.ctx.p)
+        if d:  # square and multiply, so no factor outgrows the normal forms mod I
+            piece, base = Polynomial.one(f.ctx), I.normal_form(f)
+            while d:
+                if d & 1:
+                    piece = I.normal_form(piece * base)
+                d >>= 1
+                if d:
+                    base = I.normal_form(base * base)
+            result = I.normal_form(result * piece.frobenius_stretch(level))
         level += 1
     return result
 

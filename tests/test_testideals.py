@@ -292,6 +292,18 @@ class TestNu:
                 e = rng.randint(1, 2)
                 assert nu(f, m, e) == brute_nu(f, m, e)
 
+    def test_high_degree_reduces_as_it_goes(self):
+        # f = x + y + x^3*y + every x^i*y^j of degree <= 60 with i or j >= 31:
+        # f^30 has lowest form (x+y)^30, whose terms x^i*y^(30-i) lie outside
+        # <x^31, y^31>, and f^31 lies inside it, so nu = 30. Unreduced, the
+        # digit powers f^d of this degree-60 f pass the term budget.
+        ctx = RingContext(31, ("x", "y"))
+        high = {(i, j): 1 for i in range(31, 61) for j in range(61 - i)}
+        high.update({(j, i): 2 for i, j in high})
+        f = Polynomial(ctx, high) + poly(ctx, "x + y + x^3*y")
+        assert f.total_degree() == 60
+        assert nu(f, ideal(ctx, "x", "y"), 1) == 30
+
     def test_member_at_one(self, ctx2):
         assert nu(poly(ctx2, "x^2"), ideal(ctx2, "x"), 1) == 0
 
