@@ -9,17 +9,20 @@ c*x^{mu div p^e} to g_lam.
 
 The Frobenius root of <f> (the smallest ideal I with I^{[p^e]} containing
 f) is then exactly the ideal generated by the parts g_lam, and the root of
-a general ideal is the sum of the roots of any set of generators.
+a general ideal is the sum of the roots of any set of generators. A class
+that holds one term adds just the monomial x^{mu div p^e}, as its
+coefficient is a unit, so a root builds only the minimal such monomials.
 """
 
 from __future__ import annotations
 
-from .ideals import Ideal
+from .ideals import Ideal, minimal_monomials
 from .ring import Monomial, Polynomial
 
 
-def frobenius_decompose(f: Polynomial, e: int) -> dict[Monomial, Polynomial]:
-    """The parts {lam: g_lam} of the split f = sum_lam g_lam^(p^e) * x^lam."""
+def _split(f: Polynomial, e: int) -> dict[Monomial, dict[Monomial, int]]:
+    """The terms of f by residue class: {lam: {mu div p^e: c}} over the terms
+    c*x^mu of f with mu mod p^e = lam."""
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
     if e > 1:  # level 1, the only one the kernel takes, needs no cap
@@ -32,7 +35,12 @@ def frobenius_decompose(f: Polynomial, e: int) -> dict[Monomial, Polynomial]:
         lam = tuple([x % q for x in mono])
         outer = tuple([x // q for x in mono])
         split.setdefault(lam, {})[outer] = c
-    return {lam: Polynomial(f.ctx, terms, _canonical=True) for lam, terms in split.items()}
+    return split
+
+
+def frobenius_decompose(f: Polynomial, e: int) -> dict[Monomial, Polynomial]:
+    """The parts {lam: g_lam} of the split f = sum_lam g_lam^(p^e) * x^lam."""
+    return {lam: Polynomial(f.ctx, terms, _canonical=True) for lam, terms in _split(f, e).items()}
 
 
 def frobenius_root_poly(f: Polynomial, e: int) -> Ideal:
@@ -45,15 +53,23 @@ def frobenius_root_ideal(I: Ideal, e: int) -> Ideal:
 
     Generated by the decomposition parts of any generating set; the result
     does not depend on the choice (the generator-independence property is
-    exercised by the test suite). A part that is a single constant term
-    makes the root <1> at once.
+    exercised by the test suite). A part of one term is a unit times a
+    monomial: of those only the minimal monomials become generators, and a
+    constant part makes the root <1> at once.
     """
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
-    gens: list[Polynomial] = []
+    ctx = I.ctx
+    monomials: set[Monomial] = set()
+    parts: list[Polynomial] = []
     for g in I.generators:
-        for part in frobenius_decompose(g, e).values():
-            if len(part.terms) == 1 and part.is_constant():
-                return Ideal.unit(I.ctx)
-            gens.append(part)
-    return Ideal(I.ctx, tuple(gens))
+        for terms in _split(g, e).values():
+            if len(terms) > 1:
+                parts.append(Polynomial(ctx, terms, _canonical=True))
+                continue
+            (outer,) = terms
+            if not any(outer):
+                return Ideal.unit(ctx)
+            monomials.add(outer)
+    gens = [Polynomial(ctx, {m: 1}, _canonical=True) for m in minimal_monomials(monomials)]
+    return Ideal(ctx, tuple(gens + parts))

@@ -40,6 +40,16 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
     return not any(x and y for x, y in zip(a, b))
 
 
+def minimal_monomials(monomials) -> list[Monomial]:
+    """The divisibility-minimal ``monomials`` in grevlex order: a proper
+    divisor sorts first, so one pass keeps m unless a kept one divides it."""
+    kept: list[Monomial] = []
+    for m in sorted(monomials, key=grevlex_key):
+        if not any(_divides(k, m) for k in kept):
+            kept.append(m)
+    return kept
+
+
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f by ``basis``, all-monomial or not, in one division loop.
 
@@ -133,13 +143,8 @@ def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
     gens = [g for g in generators if not g.is_zero()]
     if len(gens) == 1:  # one polynomial is the reduced basis of its ideal
         return (_monic(gens[0]),)
-    # minimal monomial generators (a constant included): a proper divisor
-    # sorts before its multiples
-    lts: list[Monomial] = []
-    monomials = {m for g in gens if len(g.terms) == 1 for m in g.terms}
-    for m in sorted(monomials, key=grevlex_key):
-        if not any(_divides(k, m) for k in lts):
-            lts.append(m)
+    # minimal monomial generators (a constant included)
+    lts = minimal_monomials({m for g in gens if len(g.terms) == 1 for m in g.terms})
     basis = [Polynomial(ctx, {m: 1}, _canonical=True) for m in lts]
     todo = [normal_form(g, basis) for g in gens if len(g.terms) > 1]
     todo = [g for g in todo if not g.is_zero()]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, sub
 
 Monomial = tuple[int, ...]
 
@@ -222,7 +222,9 @@ class Polynomial:
         As d < p, S[r] = g**r / r! exists for the sum g of the terms added so
         far and every r <= d. Adding t gives S'[r] = sum_a t**a/a! * S[r - a]
         (the multinomial theorem) = (g + t) * S'[r - 1] / r; each S'[r] uses
-        the one with fewer monomial products, and equal monomials merge.
+        the one with fewer monomial products, and equal monomials merge. A
+        binomial a x^m1 + b x^m2 skips all that: its d+1 terms are
+        C(d, i) a^i b^(d-i) x^(i m1 + (d-i) m2), units at distinct monomials.
         """
         ctx, p = self.ctx, self.ctx.p
         if not 0 <= d < p:
@@ -238,6 +240,18 @@ class Polynomial:
         inv_fact = [0] * d + [pow(fact[d], -1, p)]
         for i in range(d, 0, -1):
             inv_fact[i - 1] = inv_fact[i] * i % p
+        if len(self.terms) == 2:
+            # d < p makes every C(d, i) a unit, so no term vanishes or merges
+            (m1, a), (m2, b) = self.terms.items()
+            shift = tuple(map(sub, m1, m2))
+            mono = tuple([e * d for e in m2])
+            b_pow = list(accumulate(repeat(b, d), lambda x, y: x * y % p, initial=1))
+            out, scale = {}, fact[d]  # d! a^i
+            for i in range(d + 1):
+                out[mono] = scale * inv_fact[i] * inv_fact[d - i] * b_pow[d - i] % p
+                scale = scale * a % p
+                mono = tuple(map(add, mono, shift))
+            return Polynomial(ctx, out, _canonical=True)
         terms = list(self.terms.items())
         rows = []  # rows[j][a] = (a m_j, c_j^a / a!) for the term c_j x^m_j
         for m, c in terms:

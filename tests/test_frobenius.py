@@ -110,6 +110,37 @@ class TestRootOfIdeal:
                     assert root.is_unit() or lam == (1, 0)
         assert frobenius_root_ideal(ideal(RingContext(2, ("x", "y")), "x + y^2"), 1).is_unit()
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 101])
+    def test_singleton_classes(self, p):
+        # generators built class by class: each class one term with a nonzero
+        # outer exponent, except the first class of each generator, which has
+        # several terms for "mixed" and is a lone constant for "constant"
+        rng = random.Random(500 + p)
+        for e in (1, 2, 3):
+            q = p**e
+            for kind in ("single", "mixed", "constant") * 8:
+                n = rng.randint(1, 3)
+                ctx = RingContext(p, ("x", "y", "z")[:n])
+                gens = []
+                for _ in range(rng.randint(1, 3)):
+                    lams = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+                    terms = {}
+                    for i, lam in enumerate(lams):
+                        for _ in range(rng.randint(2, 3) if kind == "mixed" and i == 0 else 1):
+                            outer = [0] * n
+                            if kind != "constant" or i:
+                                outer = [rng.randint(0, 3) for _ in range(n)]
+                                outer[rng.randrange(n)] = rng.randint(1, 3)
+                            terms[tuple(o * q + x for o, x in zip(outer, lam))] = rng.randint(1, p - 1)
+                    gens.append(Polynomial(ctx, terms))
+                parts = [h for g in gens for h in frobenius_decompose(g, e).values()]
+                root = frobenius_root_ideal(Ideal(ctx, tuple(gens)), e)
+                assert root == Ideal(ctx, parts), (kind, gens, e)
+                monomials = [m for g in root.generators if len(g.terms) == 1 for m in g.terms]
+                for a in monomials:
+                    assert sum(all(x <= y for x, y in zip(a, b)) for b in monomials) == 1, (a, monomials)
+                assert root.is_unit() or kind != "constant"
+
     def test_constant_among_other_terms_is_not_unit(self):
         for p in (2, 3, 5):
             ctx = RingContext(p, ("x",))

@@ -174,6 +174,35 @@ class TestDigitPower:
         for d in (2, 7, 29, 30) if nvars > 1 else range(31):
             assert f._small_pow(d) == powers[d], d
 
+    @pytest.mark.parametrize("p", [2, 3, 7, 101, 1009])
+    def test_binomial_powers(self, p):
+        # a two-term f takes its digit powers from the binomial theorem; a
+        # three-term f at the same p still goes term by term. The oracle
+        # multiplies by f once per step, which never calls _small_pow, and
+        # keeps only the last power: at p=1009 all of them together hold about
+        # a million terms
+        rng = random.Random(300 + p)
+
+        def coeff():
+            return rng.randint(2, p - 1) if p > 2 else 1
+
+        x = RingContext(p, ("x",))
+        fs = [Polynomial(x, {(5,): coeff(), (0,): coeff()})]  # such as 3x^5+2
+        for nvars in (2, 3):
+            ctx = RingContext(p, ("x", "y", "z")[:nvars])
+            monos = set()
+            while len(monos) < 2:
+                monos.add(tuple(rng.randint(0, 6) for _ in range(nvars)))
+            fs.append(Polynomial(ctx, {m: coeff() for m in monos}))
+        fs.append(Polynomial(x, {(2,): coeff(), (1,): coeff(), (0,): coeff()}))
+        digits = {0, 1, 2, p - 1, rng.randrange(p)}
+        for f in fs:
+            power = Polynomial.one(f.ctx)
+            for d in range(max(digits) + 1):
+                if d in digits:
+                    assert f**d == power, (f, d)
+                power = power * f
+
     def test_small_pow_rejects_large_digit(self, ctx5):
         f = poly(ctx5, "x+y")
         with pytest.raises(ValueError):
