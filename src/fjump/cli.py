@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -254,6 +255,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+@functools.cache  # one parser per process, however often main runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fjump",

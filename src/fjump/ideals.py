@@ -16,6 +16,7 @@ which keeps runs deterministic.
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 from .grammar import format_poly
@@ -187,10 +188,12 @@ class Ideal:
 
     Logically immutable; the reduced Groebner basis is computed at most
     once and cached (idempotent, so concurrent duplicate computation is
-    harmless). Equality and containment are mathematical, via the basis.
+    harmless). Equality and containment are mathematical, via the basis,
+    and an ideal hashes by its reduced basis, so equal ideals from
+    different generating sets hash equal.
     """
 
-    __slots__ = ("ctx", "generators", "_gb")
+    __slots__ = ("ctx", "generators", "_gb", "_hash")
 
     def __init__(self, ctx: RingContext, generators=()):
         gens = tuple(generators)
@@ -200,9 +203,12 @@ class Ideal:
         self.ctx = ctx
         self.generators = gens
         self._gb: tuple[Polynomial, ...] | None = None
+        self._hash: int | None = None
 
     @classmethod
+    @functools.cache
     def unit(cls, ctx: RingContext) -> Ideal:
+        """<1>, one object per ring context."""
         return cls(ctx)._with_basis((Polynomial.one(ctx),))
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
@@ -231,6 +237,8 @@ class Ideal:
         return self.normal_form(f).is_zero()
 
     def contains(self, other: Ideal) -> bool:
+        if self is other:
+            return True
         if self.ctx != other.ctx:
             raise ValueError("ring context mismatch")
         return all(self.contains_poly(g) for g in other.generators)
@@ -244,7 +252,10 @@ class Ideal:
             return False
         return self.groebner_basis() == other.groebner_basis()
 
-    __hash__ = None
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.groebner_basis())
+        return self._hash
 
     # -- arithmetic ---------------------------------------------------
 
@@ -253,10 +264,14 @@ class Ideal:
         and the tails reduced (G the reduced basis of self)."""
         if self.ctx != h.ctx:
             raise ValueError("ring context mismatch")
-        if h.is_zero():
+        gb = self.groebner_basis()
+        if h.is_zero() or not gb:
             return self._with_basis(())
         h = _monic(h)
-        return self._with_basis(_reduce_tails([h * g for g in self.groebner_basis()]))
+        if len(gb) > 1:
+            return self._with_basis(_reduce_tails([h * g for g in gb]))
+        # one monic element is a reduced basis, and h * <1> is <h>
+        return self._with_basis((h if gb[0].is_constant() else h * gb[0],))
 
     def bracket_power(self, q: int) -> Ideal:
         """The ideal generated by g**q over generators g, for q a power of p.

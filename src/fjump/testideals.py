@@ -29,10 +29,14 @@ I_{s beta}(f^(a' psi_s)) descend to the common value of tau just below g.
 Phi is monotone and deterministic, so two equal consecutive iterates make
 the chain stationary forever: the fixed point is a rigorous stopping rule.
 
-f has few distinct test ideals, so digit steps repeat. Inside a
-``shared_roots()`` block, which ``enumerate_jumps`` and each ``verify``
-entry open, a per-thread memo keyed on (f, d, the unique reduced basis of
-J) takes each step J -> I_1(f^d * J) once; calls outside build no key.
+f has few distinct test ideals, so digit steps and Skoda shifts repeat.
+Inside a ``shared_roots()`` block, which ``enumerate_jumps`` and each
+``verify`` entry open, a per-thread memo takes each root I_e(f^n * J) of
+level e = 1 (a digit step, n < p) or e = 0 (the shift f^n * J) once,
+keyed (e, f, n, J); an ideal hashes by its reduced basis. Each value the
+memo stores is interned in it, mapped to itself, so equal ideals in a block
+are one object and a repeated key matches by identity. Calls outside a
+block build no key.
 """
 
 from __future__ import annotations
@@ -71,24 +75,34 @@ def shared_roots():
         _step_memo.reset(token)
 
 
+def _memoized(memo: dict | None, key: tuple, build) -> Ideal:
+    """build(), taken once per key in a ``shared_roots()`` block and interned."""
+    if memo is None:
+        return build()
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        memo[key] = value = memo.setdefault(value, value)
+    return value
+
+
+def _digit_step(f: Polynomial, d: int, J: Ideal) -> Ideal:
+    """I_1(f^d * J), its generators the reduced basis so lists stay short."""
+    product = J
+    if d:  # the root needs generators of f^d * J, no basis
+        fd = f**d
+        product = Ideal(J.ctx, [fd * g for g in J.generators])
+    root = frobenius_root_ideal(product, 1)
+    return root._with_basis(root.groebner_basis())
+
+
 def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
     """I_e(f^n * J) by the digit recursion; never expands f^n for n >= p^e."""
     p = f.ctx.p
     memo = _step_memo.get()
     for _ in range(e):
         n, d = divmod(n, p)
-        key = None if memo is None else (f, d, J.groebner_basis())
-        step = None if key is None else memo.get(key)
-        if step is None:
-            product = J
-            if d:  # the root needs generators of f^d * J, no basis
-                fd = f**d
-                product = Ideal(J.ctx, [fd * g for g in J.generators])
-            root = frobenius_root_ideal(product, 1)
-            # regenerate from the reduced basis so generator lists stay short
-            step = root._with_basis(root.groebner_basis())
-            if key is not None:
-                memo[key] = step
+        step = _memoized(memo, (1, f, d, J), lambda: _digit_step(f, d, J))
         # with only 0 digits left each step is J -> I_1(J), which contains J
         # (each element lies in the ideal of its Frobenius parts): J grows
         # until the first step that returns it, and stays from then on
@@ -96,7 +110,7 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
             break
         J = step
     if n:
-        J = J.scale(f**n)
+        J = _memoized(memo, (0, f, n, J), lambda: J.scale(f**n))
     return J
 
 

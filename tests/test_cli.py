@@ -6,7 +6,7 @@ import time
 import pytest
 
 from fjump import Ideal, RingContext, chains, parse_poly, testideals
-from fjump.cli import main
+from fjump.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -104,6 +104,31 @@ class TestTextOutput:
     def test_vars_override(self, capsys):
         code, out, _ = run(capsys, "froot", "-p", "2", "--vars", "x,y,z", "x^2+y^3")
         assert code == 0 and out == "x, y"
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process; no call sees another's arguments."""
+
+    def test_usage_error_after_success(self, capsys):
+        assert run(capsys, "tau", "-p", "2", "-c", "1", "x")[:2] == (0, "x")
+        with pytest.raises(SystemExit) as err:
+            main(["tau", "-p", "2", "x"])
+        assert err.value.code == 2
+        assert build_parser() is build_parser()
+
+    def test_nilcmp_classes_do_not_accumulate(self, capsys):
+        first = run(capsys, "nilcmp", "-p", "2", "--class", "1,1", "--class", "3,1", "x")
+        second = run(capsys, "nilcmp", "-p", "2", "--class", "3,1", "--class", "1,1", "x")
+        assert first[0] == second[0] == 0
+        assert "gamma: 1 < 3" in first[1] and "gamma: 3 > 1" in second[1]
+
+    def test_help_text_unchanged(self, capsys):
+        expected = build_parser.__wrapped__().format_help()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["--help"])
+            assert err.value.code == 0
+            assert capsys.readouterr().out == expected
 
 
 class TestExitCodes:

@@ -211,6 +211,16 @@ class TestCarriedBasis:
                     for factor in (h, Polynomial.constant(ctx, p - 1), Polynomial.zero(ctx)):
                         self.check(J, factor)
 
+    def test_one_element_basis(self, ctx3, monkeypatch):
+        # one monic element is a reduced basis as it stands, and h * <1> = <h>
+        tails = []
+        monkeypatch.setattr(ideals, "_reduce_tails", tails.append)
+        h = poly(ctx3, "2x + y^2")
+        assert Ideal.unit(ctx3).scale(h).groebner_basis() == (poly(ctx3, "y^2 + 2x"),)
+        for J in (ideal(ctx3, "x + y"), ideal(ctx3, "2xy^2 + 1"), Ideal(ctx3)):
+            self.check(J, h)
+        assert tails == []
+
 
 class TestNormalFormMembership:
     def test_normal_form_examples(self, ctx2):
@@ -314,6 +324,30 @@ class TestContainmentEquality:
                 assert I == J
             if I.contains(J) and J.contains(K):
                 assert I.contains(K)
+
+
+class TestHash:
+    def test_equal_ideals_hash_equal(self, ctx2):
+        I, J = ideal(ctx2, "x", "y"), ideal(ctx2, "x + y", "y")
+        assert I == J and hash(I) == hash(J)
+        assert len({I, J, ideal(ctx2, "y", "x"), ideal(ctx2, "x")}) == 2
+
+    def test_redundant_generating_sets(self):
+        rng = random.Random(43)
+        for p in (2, 3, 5):
+            ctx = RingContext(p, ("x", "y", "z"))
+            for _ in range(8):
+                I = random_ideal(rng, ctx, max_exp=3)
+                g, *rest = I.generators
+                h = random_poly(rng, ctx, max_terms=2, max_exp=2)
+                J = Ideal(ctx, (*rest[::-1], g, g * h + I.generators[-1]))
+                assert I == J and hash(I) == hash(J)
+
+    def test_unit_is_one_object_per_context(self):
+        a, b = RingContext(5, ("x", "y")), RingContext(5, ("x", "y"))
+        assert a is not b and Ideal.unit(a) is Ideal.unit(b)
+        assert Ideal.unit(a).groebner_basis() == (Polynomial.one(a),)
+        assert Ideal.unit(RingContext(7, ("x", "y"))) != Ideal.unit(a)
 
 
 class TestIdealArithmetic:

@@ -668,6 +668,39 @@ class TestSharedRoots:
                     for _ in range(2):
                         assert [fn(*args).generators for fn, args in calls] == expected
 
+    def test_repeats_are_one_object(self, ctx3, monkeypatch):
+        # c > 1 ends in a Skoda shift f^n * J: inside a block each one is
+        # built once, and a repeated tau returns the very same object
+        shifts = []
+        scale = Ideal.scale
+
+        def counted(J, h):
+            shifts.append((h, J))
+            return scale(J, h)
+
+        monkeypatch.setattr(Ideal, "scale", counted)
+        f = poly(ctx3, "x^2+y^3")
+        exponents = (Fraction(7, 4), Fraction(5, 2), Fraction(3), Fraction(13, 9))
+        with testideals.shared_roots():
+            for c in exponents:
+                first = tau(f, c)
+                assert tau(f, c) is first
+        assert len(shifts) == len(set(shifts)) == len(exponents)
+
+    def test_equal_values_are_one_object(self, ctx3):
+        # jumps at 2/3, 1, 5/3 and 2 (p = 3): each group is one value of
+        # tau reached through different digit steps and shifts
+        f = poly(ctx3, "x^2+y^3")
+        groups = [
+            [(tau, Fraction(7, 10)), (tau, Fraction(3, 4)), (tau_left_limit, Fraction(1))],
+            [(tau, Fraction(17, 10)), (tau, Fraction(7, 4)), (tau_left_limit, Fraction(2))],
+        ]
+        with testideals.shared_roots():
+            for group in groups:
+                first, *rest = (fn(f, c) for fn, c in group)
+                assert all(value is first for value in rest)
+        assert tau(f, Fraction(7, 10)) is not tau(f, Fraction(3, 4))
+
     def test_nested_block_reuses_the_memo(self):
         assert testideals._step_memo.get() is None
         with testideals.shared_roots():
