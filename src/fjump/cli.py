@@ -45,62 +45,59 @@ def _rational(text: str, name: str) -> Fraction:
         raise _CliError(str(err), EXIT_PARSE) from err
 
 
-def _context(args) -> RingContext:
+def _poly(args) -> Polynomial:
+    """The polynomial argument, read in the ring of -p and --vars (by default
+    the names in its text): usage errors in the ring come before parse errors."""
     names = args.vars.split(",") if args.vars else infer_variables(args.poly)
     if not names:
         raise _CliError(
             "no variables found; declare them with --vars", EXIT_USAGE
         )
     try:
-        return RingContext(args.p, [n.strip() for n in names])
+        ctx = RingContext(args.p, [n.strip() for n in names])
     except ValueError as err:
         raise _CliError(str(err), EXIT_USAGE) from err
-
-
-def _poly(args, ctx: RingContext) -> Polynomial:
     try:
         return parse_poly(args.poly, ctx)
     except ParseError as err:
         raise _CliError(f"cannot parse polynomial: {err}", EXIT_PARSE) from err
 
 
-def _emit(args, text: str, obj: dict):
-    print(json.dumps(obj, indent=2) if args.json else text)
-
-
 def _ideal_text(I: Ideal) -> str:
     return ", ".join(I.generator_strings()) or "0"
 
 
-def _cmd_froot(args) -> int:
-    ctx = _context(args)
-    f = _poly(args, ctx)
+# Each command returns its text and its JSON object; main prints one of them.
+
+
+def _cmd_froot(args, f: Polynomial) -> tuple[str, dict]:
     if args.e < 1:
         raise _CliError("need -e >= 1", EXIT_USAGE)
     root = frobenius_root_poly(f, args.e)
-    _emit(
-        args,
+    return (
         _ideal_text(root),
-        {"p": ctx.p, "e": args.e, "f": format_poly(f), "generators": root.generator_strings()},
+        {"p": args.p, "e": args.e, "f": format_poly(f), "generators": root.generator_strings()},
     )
-    return EXIT_OK
 
 
-def _cmd_tau(args) -> int:
-    ctx = _context(args)
-    f = _poly(args, ctx)
+def _cmd_tau(args, f: Polynomial) -> tuple[str, dict]:
     c = _rational(args.c, "-c")
     value = testideals.tau(f, c)
-    _emit(
-        args,
+    return (
         _ideal_text(value),
-        {"p": ctx.p, "c": str(c), "f": format_poly(f), "generators": value.generator_strings()},
+        {"p": args.p, "c": str(c), "f": format_poly(f), "generators": value.generator_strings()},
     )
-    return EXIT_OK
 
 
-def _jump_rows(report: testideals.JumpReport) -> dict:
-    return {
+def _cmd_jumps(args, f: Polynomial) -> tuple[str, dict]:
+    bound = _rational(args.B, "-B")
+    report = testideals.enumerate_jumps(f, bound, args.depth)
+    lines = [
+        f"{j.c}: {_ideal_text(j.tau_left)} -> {_ideal_text(j.tau_at)}"
+        for j in report.jumps
+    ]
+    lines.extend(f"unresolved: ({lo}, {hi}]" for lo, hi in report.unresolved)
+    return "\n".join(lines) or "none", {
         "jumps": [
             {
                 "c": str(j.c),
@@ -113,59 +110,33 @@ def _jump_rows(report: testideals.JumpReport) -> dict:
     }
 
 
-def _cmd_jumps(args) -> int:
-    ctx = _context(args)
-    f = _poly(args, ctx)
-    bound = _rational(args.B, "-B")
-    report = testideals.enumerate_jumps(f, bound, args.depth)
-    lines = [
-        f"{j.c}: {_ideal_text(j.tau_left)} -> {_ideal_text(j.tau_at)}"
-        for j in report.jumps
-    ]
-    lines.extend(f"unresolved: ({lo}, {hi}]" for lo, hi in report.unresolved)
-    _emit(args, "\n".join(lines) or "none", _jump_rows(report))
-    return EXIT_OK
-
-
-def _cmd_fpt(args) -> int:
-    ctx = _context(args)
-    f = _poly(args, ctx)
+def _cmd_fpt(args, f: Polynomial) -> tuple[str, dict]:
     report = testideals.enumerate_jumps(f, Fraction(1), args.depth)
-    if report.jumps and all(report.jumps[0].c <= lo for lo, _ in report.unresolved):
-        c = report.jumps[0].c
-        _emit(args, str(c), {"p": ctx.p, "f": format_poly(f), "fpt": str(c)})
-        return EXIT_OK
-    raise _CliError(
-        "smallest jump not resolved at this depth; increase --depth", EXIT_BUDGET
-    )
+    if not report.jumps or any(report.jumps[0].c > lo for lo, _ in report.unresolved):
+        raise _CliError(
+            "smallest jump not resolved at this depth; increase --depth", EXIT_BUDGET
+        )
+    c = report.jumps[0].c
+    return str(c), {"p": args.p, "f": format_poly(f), "fpt": str(c)}
 
 
-def _cmd_chain(args) -> int:
-    ctx = _context(args)
-    g = _poly(args, ctx)
+def _cmd_chain(args, g: Polynomial) -> tuple[str, dict]:
     trace = chains.chain(g, args.a, args.b)
     lines = [
         f"C_{s + 1} = {_ideal_text(term)}" for s, term in enumerate(trace.terms)
     ]
     lines.append(f"stab_index = {trace.stab_index}")
-    _emit(
-        args,
-        "\n".join(lines),
-        {
-            "p": ctx.p,
-            "g": format_poly(g),
-            "a": args.a,
-            "beta": args.b,
-            "terms": [t.generator_strings() for t in trace.terms],
-            "stab_index": trace.stab_index,
-        },
-    )
-    return EXIT_OK
+    return "\n".join(lines), {
+        "p": args.p,
+        "g": format_poly(g),
+        "a": args.a,
+        "beta": args.b,
+        "terms": [t.generator_strings() for t in trace.terms],
+        "stab_index": trace.stab_index,
+    }
 
 
-def _cmd_nilcmp(args) -> int:
-    ctx = _context(args)
-    g = _poly(args, ctx)
+def _cmd_nilcmp(args, g: Polynomial) -> tuple[str, dict]:
     pairs = []
     for text in args.cls:
         try:
@@ -177,8 +148,8 @@ def _cmd_nilcmp(args) -> int:
     for a, beta in pairs:
         # gamma = a/(p^beta - 1) in lowest terms; p^beta mod a gives the gcd
         if limit and a > 0 < beta:
-            gcd = math.gcd(a, pow(ctx.p, beta, a) - 1)
-            if beta * math.log10(ctx.p) - math.log10(gcd) >= limit:
+            gcd = math.gcd(a, pow(args.p, beta, a) - 1)
+            if beta * math.log10(args.p) - math.log10(gcd) >= limit:
                 raise _CliError(f"--class {a},{beta}: gamma has over {limit} digits", EXIT_USAGE)
     n1 = chains.chain(g, *pairs[0])
     n2 = chains.chain(g, *pairs[1])
@@ -191,24 +162,19 @@ def _cmd_nilcmp(args) -> int:
             f"direction: {cmp.direction}",
         ]
     )
-    _emit(
-        args,
-        text,
-        {
-            "gamma": [str(n1.gamma), str(n2.gamma)],
-            "gamma_order": cmp.gamma_order,
-            "representatives": [
-                n1.stable.generator_strings(),
-                n2.stable.generator_strings(),
-            ],
-            "representative_order": cmp.representative_order,
-            "direction": cmp.direction,
-        },
-    )
-    return EXIT_OK
+    return text, {
+        "gamma": [str(n1.gamma), str(n2.gamma)],
+        "gamma_order": cmp.gamma_order,
+        "representatives": [
+            n1.stable.generator_strings(),
+            n2.stable.generator_strings(),
+        ],
+        "representative_order": cmp.representative_order,
+        "direction": cmp.direction,
+    }
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> tuple[str, dict]:
     s = _rational(args.rational, "rational")
     if not (args.p < MAX_CHAR and is_prime(args.p)):
         raise _CliError(f"need a prime -p below {MAX_CHAR}", EXIT_USAGE)
@@ -223,22 +189,17 @@ def _cmd_orbit(args) -> int:
             f"cycle_length = {report.cycle_length}",
         ]
     )
-    _emit(
-        args,
-        text,
-        {
-            "s": str(s),
-            "p": args.p,
-            "m": args.m,
-            "orbit": [str(v) for v in report.orbit],
-            "entry_index": report.entry_index,
-            "cycle_length": report.cycle_length,
-        },
-    )
-    return EXIT_OK
+    return text, {
+        "s": str(s),
+        "p": args.p,
+        "m": args.m,
+        "orbit": [str(v) for v in report.orbit],
+        "entry_index": report.entry_index,
+        "cycle_length": report.cycle_length,
+    }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, dict]:
     corpus = verify.load_corpus(args.corpus)
     report = verify.run_suite(corpus, depth=args.depth, seed=args.seed, jobs=args.jobs)
     lines = []
@@ -251,8 +212,7 @@ def _cmd_verify(args) -> int:
             if not c.passed:
                 lines.append(f"  fail {c.name}: {c.detail}")
     lines.append("all checks passed" if report.passed else "verification failed")
-    _emit(args, "\n".join(lines), report.to_json_obj())
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return "\n".join(lines), report.to_json_obj()
 
 
 @functools.cache  # one parser per process, however often main runs in it
@@ -335,9 +295,11 @@ def main(argv=None) -> int:
         print("fjump: give --class exactly twice", file=sys.stderr)
         return EXIT_USAGE
     try:
-        code = args.func(args)
+        text, obj = args.func(args, _poly(args)) if "poly" in args else args.func(args)
+        print(json.dumps(obj, indent=2) if args.json else text)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
-        return code
+        # the one command whose answer sets the exit code
+        return EXIT_VERIFY if args.command == "verify" and not obj["passed"] else EXIT_OK
     except _CliError as err:
         print(f"fjump: {err}", file=sys.stderr)
         return err.code

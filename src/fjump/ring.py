@@ -104,17 +104,16 @@ def _combine(ctx: RingContext, parts) -> Polynomial:
     return Polynomial(ctx, _shifted_sum(parts, ctx.p), _canonical=True)
 
 
-def _term_bound(f: Polynomial, n: int, deg: int | None = None) -> int:
+def _term_bound(f: Polynomial, n: int, deg: int) -> int:
     """Bound on the terms of f^n: the product over the base-p digits d of n of
     min(C(d + k - 1, k - 1), C(d deg + v, v)), as f^d has at most the splits of
-    d over the k terms of f and the monomials of degree <= d deg in v variables.
-    Splits alone if deg is None; a partial product once past the budget."""
+    d over the k terms of f and the monomials of degree <= d deg in v variables;
+    a partial product once past the budget."""
     p, k, v = f.ctx.p, len(f.terms), f.ctx.nvars
     bound = 1
     while n and bound <= EXPANSION_TERM_BUDGET:
         n, d = divmod(n, p)
-        splits = math.comb(d + k - 1, k - 1)
-        bound *= splits if deg is None else min(splits, math.comb(d * deg + v, v))
+        bound *= min(math.comb(d + k - 1, k - 1), math.comb(d * deg + v, v))
     return bound
 
 
@@ -172,10 +171,9 @@ class Polynomial:
         return all(not any(m) for m in self.terms)
 
     def total_degree(self) -> int:
-        """Maximum total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        """Maximum total degree, that of the grevlex leading monomial; -1 for
+        the zero polynomial."""
+        return sum(self.leading_monomial()) if self.terms else -1
 
     # -- arithmetic ---------------------------------------------------
 
@@ -288,8 +286,8 @@ class Polynomial:
             return Polynomial.one(self.ctx)
         if self.is_zero():
             return self
-        budget = EXPANSION_TERM_BUDGET  # deg f only once the splits alone pass it
-        if _term_bound(self, n) > budget and _term_bound(self, n, self.total_degree()) > budget:
+        budget = EXPANSION_TERM_BUDGET
+        if _term_bound(self, n, self.total_degree()) > budget:
             raise BudgetExceededError(f"expanding f^n: its term bound exceeds {budget}")
         p = self.ctx.p
         result = None

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import chains, testideals
-from .digits import frac_mod
 from .grammar import infer_variables, parse_poly
 from .ideals import Ideal
 from .ring import Polynomial, RingContext
@@ -98,13 +97,16 @@ def _entry_from_row(row: dict, index: int) -> CorpusEntry:
         raise ValueError(f"corpus entry {index}: f must be a string")
     try:
         bound = parse_rational(row["B"], "B")
+        if bound <= 0:
+            raise ValueError(f"B: need a positive bound, got {bound}")
         expect = row.get("expect_jumps")
         if expect is not None:
             if not isinstance(expect, list):
                 raise ValueError(f"expect_jumps must be a list, got {expect!r}")
             expect = tuple(sorted(parse_rational(x, "expect_jumps") for x in expect))
         entry = CorpusEntry(row["p"], row["f"], bound, expect)
-        entry.poly()  # validate the prime and the polynomial text now
+        if entry.poly().is_constant():  # also validates the prime and the text now
+            raise ValueError(f"f: {entry.f_text!r} is zero or a unit mod {entry.p}")
     except ValueError as err:
         raise ValueError(f"corpus entry {index}: {err}") from err
     return entry
@@ -265,7 +267,7 @@ def _check_entry(entry: CorpusEntry, depth: int, seed: int) -> EntryReport:
             pc = p * jump.c
             if pc <= report.bound and not testideals.is_jumping(f, pc).jumping:
                 details.append(f"p*{jump.c} is not a jump")
-            wrapped = frac_mod(pc, 1)
+            wrapped = pc % 1
             if wrapped > 0 and not testideals.is_jumping(f, wrapped).jumping:
                 details.append(f"p*{jump.c} mod 1 = {wrapped} is not a jump")
         record("scale_law", details)
@@ -319,6 +321,8 @@ def run_suite(
     """Run every check against every corpus entry; deterministic given seed."""
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     if corpus is None:
         corpus = default_corpus()
     if not corpus.entries:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fjump import Ideal, RingContext, chains, parse_poly, testideals
+from fjump import Ideal, RingContext, chains, parse_poly, testideals, verify
 from fjump.cli import build_parser, main
 
 
@@ -54,6 +54,27 @@ class TestJsonOutput:
         assert set(obj) == {"jumps", "unresolved"}
         assert obj["jumps"][0] == {"c": "5/6", "tau_left": ["1"], "tau_at": ["x", "y"]}
         assert obj["unresolved"] == []
+
+    def test_fpt_json(self, capsys):
+        code, out, err = run(capsys, "fpt", "-p", "7", "--json", "x^2+y^3")
+        assert code == 0 and err == ""
+        assert out == '{\n  "p": 7,\n  "f": "y^3 + x^2",\n  "fpt": "5/6"\n}'
+
+    def test_nilcmp_json(self, capsys):
+        code, out, err = run(
+            capsys, "nilcmp", "-p", "2", "--class", "1,1", "--class", "3,1", "--json", "x"
+        )
+        assert code == 0 and err == ""
+        assert out == json.dumps(
+            {
+                "gamma": ["1", "3"],
+                "gamma_order": "<",
+                "representatives": [["1"], ["x^2"]],
+                "representative_order": ">",
+                "direction": "larger gamma gives smaller representative ideal",
+            },
+            indent=2,
+        )
 
     def test_tau_json(self, capsys):
         code, out, _ = run(capsys, "tau", "-p", "7", "-c", "5/6", "--json", "x^2+y^3")
@@ -284,6 +305,13 @@ class TestExitCodes:
         got, _, err = run(capsys, "nilcmp", "-p", "2", "--class", cls, "--class", "1,1", "x")
         assert got == code, err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_fpt_unresolved_at_depth(self, capsys, json_flag):
+        # at depth 1 the interval below the smallest jump of x^5+y^7 stays open
+        code, out, err = run(capsys, "fpt", "-p", "2", "--depth", "1", *json_flag, "x^5+y^7")
+        assert code == 4 and out == ""
+        assert err == "fjump: smallest jump not resolved at this depth; increase --depth\n"
+
     def test_parse_error_rational(self, capsys):
         code, _, err = run(capsys, "tau", "-p", "2", "-c", "0.5", "x")
         assert code == 3
@@ -324,6 +352,34 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "--corpus", str(path))
         assert code == 5
         assert "verification failed" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_verify_jobs_below_one(self, capsys, monkeypatch, jobs):
+        # refused before any entry is checked
+        monkeypatch.setattr(verify, "_check_entry", None)
+        code, out, err = run(capsys, "verify", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"fjump: need jobs >= 1, got {jobs}\n"
+
+    @pytest.mark.parametrize(
+        ("bound", "value"), [('"0"', "0"), ('"-1/2"', "-1/2"), ("0", "0")], ids=["0", "-1/2", "int"]
+    )
+    def test_corpus_bound_not_positive(self, capsys, tmp_path, bound, value):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"p": 2, "f": "x", "B": "1"}\n{"p": 2, "f": "x", "B": %s}\n' % bound)
+        code, out, err = run(capsys, "verify", "--corpus", str(path))
+        assert code == 2 and out == ""
+        assert err == f"fjump: corpus entry 1: B: need a positive bound, got {value}\n"
+
+    @pytest.mark.parametrize(
+        ("p", "f"), [(2, "x+x"), (3, "3*x*y"), (2, "2x+3")], ids=["zero", "zero_mod_3", "unit"]
+    )
+    def test_corpus_f_zero_or_unit(self, capsys, tmp_path, p, f):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"p": %d, "f": "%s", "B": "1"}\n' % (p, f))
+        code, out, err = run(capsys, "verify", "--corpus", str(path))
+        assert code == 2 and out == ""
+        assert err == f"fjump: corpus entry 0: f: {f!r} is zero or a unit mod {p}\n"
 
     def test_missing_corpus_file(self, capsys):
         code, _, err = run(capsys, "verify", "--corpus", "/nonexistent.jsonl")
