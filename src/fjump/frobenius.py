@@ -17,24 +17,30 @@ coefficient is a unit, so a root builds only the minimal such monomials.
 from __future__ import annotations
 
 from .ideals import Ideal, minimal_monomials
-from .ring import Monomial, Polynomial
+from .ring import Monomial, Polynomial, _accumulate
 
 
-def _split(f: Polynomial, e: int) -> dict[Monomial, dict[Monomial, int]]:
-    """The terms of f by residue class: {lam: {mu div p^e: c}} over the terms
-    c*x^mu of f with mu mod p^e = lam."""
+def _split(f: Polynomial, e: int, h: Polynomial | None = None) -> dict[Monomial, dict]:
+    """The nonzero terms c*x^mu of f, or of h*f without building it, by residue
+    class: {lam: {mu div p^e: c}} with lam = mu mod p^e."""
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
+    terms = f.terms
+    if h is not None:
+        a, b = sorted((h.terms, terms), key=len)
+        terms = _accumulate([(m, c, b) for m, c in a.items()])
     if e > 1:  # level 1, the only one the kernel takes, needs no cap
         # once p^e passes every exponent, each term is its own class with outer
         # exponent 0, so no level past the largest exponent's bit length differs
-        e = min(e, max(map(max, f.terms), default=0).bit_length())
-    q = f.ctx.p**e
+        e = min(e, max(map(max, terms), default=0).bit_length())
+    p = f.ctx.p
+    q = p**e
     split: dict[Monomial, dict[Monomial, int]] = {}
-    for mono, c in f.terms.items():
-        lam = tuple([x % q for x in mono])
-        outer = tuple([x // q for x in mono])
-        split.setdefault(lam, {})[outer] = c
+    for mono, c in terms.items():
+        if c := c % p:
+            lam = tuple([x % q for x in mono])
+            outer = tuple([x // q for x in mono])
+            split.setdefault(lam, {})[outer] = c
     return split
 
 
@@ -48,13 +54,14 @@ def frobenius_root_poly(f: Polynomial, e: int) -> Ideal:
     return Ideal(f.ctx, tuple(frobenius_decompose(f, e).values()))
 
 
-def frobenius_root_ideal(I: Ideal, e: int) -> Ideal:
-    """The minimal ideal J with J^{[p^e]} containing I.
+def frobenius_root_ideal(I: Ideal, e: int, h: Polynomial | None = None) -> Ideal:
+    """The minimal ideal J with J^{[p^e]} containing I, or h*I given h.
 
     Generated by the decomposition parts of any generating set; the result
     does not depend on the choice (the generator-independence property is
-    exercised by the test suite). A part of one term is a unit times a
-    monomial: of those only the minimal monomials become generators, and a
+    exercised by the test suite), and the parts of h*I are those of h*g. A
+    part of one term is a unit times a monomial: only the minimal ones become
+    generators, which alone, in grevlex order, are the reduced basis, and a
     constant part makes the root <1> at once.
     """
     if e < 1:
@@ -63,7 +70,7 @@ def frobenius_root_ideal(I: Ideal, e: int) -> Ideal:
     monomials: set[Monomial] = set()
     parts: list[Polynomial] = []
     for g in I.generators:
-        for terms in _split(g, e).values():
+        for terms in _split(g, e, h).values():
             if len(terms) > 1:
                 parts.append(Polynomial(ctx, terms, _canonical=True))
                 continue
@@ -72,4 +79,5 @@ def frobenius_root_ideal(I: Ideal, e: int) -> Ideal:
                 return Ideal.unit(ctx)
             monomials.add(outer)
     gens = [Polynomial(ctx, {m: 1}, _canonical=True) for m in minimal_monomials(monomials)]
-    return Ideal(ctx, tuple(gens + parts))
+    root = Ideal(ctx, tuple(gens + parts))
+    return root if parts else root._with_basis(root.generators)

@@ -88,15 +88,20 @@ def _check_same_context(a: Polynomial, b: Polynomial):
         raise ValueError(f"ring context mismatch: {a.ctx!r} vs {b.ctx!r}")
 
 
-def _shifted_sum(parts, p: int) -> dict[Monomial, int]:
-    """The terms of sum c * x^m * g over (m, c, terms of g) in parts, mod p."""
+def _accumulate(parts) -> dict[Monomial, int]:
+    """``_shifted_sum`` before its coefficients are reduced mod p."""
     out: dict[Monomial, int] = {}
     for m, c, g in parts:
         shift = any(m)
         for mono, coeff in g.items():
             key = tuple(map(add, mono, m)) if shift else mono
             out[key] = out.get(key, 0) + c * coeff
-    return {mono: r for mono, c in out.items() if (r := c % p)}
+    return out
+
+
+def _shifted_sum(parts, p: int) -> dict[Monomial, int]:
+    """The terms of sum c * x^m * g over (m, c, terms of g) in parts, mod p."""
+    return {mono: r for mono, c in _accumulate(parts).items() if (r := c % p)}
 
 
 def _combine(ctx: RingContext, parts) -> Polynomial:

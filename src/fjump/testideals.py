@@ -35,8 +35,9 @@ Inside a ``shared_roots()`` block, which ``enumerate_jumps`` and each
 level e = 1 (a digit step, n < p) or e = 0 (the shift f^n * J) once,
 keyed (e, f, n, J); an ideal hashes by its reduced basis. Each value the
 memo stores is interned in it, mapped to itself, so equal ideals in a block
-are one object and a repeated key matches by identity. Calls outside a
-block build no key.
+are one object and a repeated key matches by identity. A tau or left-limit
+query opens a block of its own when none is open, and builds each power f^n
+once; it drops them on return, as at large p they have up to p terms each.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ DEFAULT_DEPTH = 4
 NU_EXPONENT_BUDGET = 1 << 20
 
 _step_memo: ContextVar[dict | None] = ContextVar("_step_memo", default=None)
+_query_powers: ContextVar[dict | None] = ContextVar("_query_powers", default=None)
 
 
 def _require_nonzero(f: Polynomial):
@@ -86,13 +88,17 @@ def _memoized(memo: dict | None, key: tuple, build) -> Ideal:
     return value
 
 
+def _power(f: Polynomial, n: int) -> Polynomial:
+    """f**n, built once per tau or left-limit query."""
+    powers = _query_powers.get()
+    if powers is None:
+        return f**n
+    return powers.get((f, n)) or powers.setdefault((f, n), f**n)
+
+
 def _digit_step(f: Polynomial, d: int, J: Ideal) -> Ideal:
     """I_1(f^d * J), its generators the reduced basis so lists stay short."""
-    product = J
-    if d:  # the root needs generators of f^d * J, no basis
-        fd = f**d
-        product = Ideal(J.ctx, [fd * g for g in J.generators])
-    root = frobenius_root_ideal(product, 1)
+    root = frobenius_root_ideal(J, 1, _power(f, d) if d else None)
     return root._with_basis(root.groebner_basis())
 
 
@@ -110,7 +116,7 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
             break
         J = step
     if n:
-        J = _memoized(memo, (0, f, n, J), lambda: J.scale(f**n))
+        J = _memoized(memo, (0, f, n, J), lambda: J.scale(_power(f, n)))
     return J
 
 
@@ -151,15 +157,21 @@ def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ide
 
 def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
     """tau(f^c) for c > 0, or its left limit, by the Skoda split p^d c = m + g."""
-    cf = canonicalize(c, f.ctx.p)
-    q_minus = f.ctx.p**cf.beta - 1
-    # g = a/q_minus lies in (0, 1] for the left limit and in [0, 1) for tau,
-    # whose chain starts from <f^ceil(g)>
-    m = (cf.a - 1) // q_minus if left else cf.a // q_minus
-    a = cf.a - m * q_minus
-    seed = Ideal.unit(f.ctx) if left or not a else Ideal(f.ctx, (f,))
-    trace = _phi_fixed_point(f, a, cf.beta, seed)
-    return _root_scaled(f, m, cf.d, trace[-1])
+    memo = _step_memo.get()  # a block of the query's own when none is open
+    tokens = _step_memo.set({} if memo is None else memo), _query_powers.set({})
+    try:
+        cf = canonicalize(c, f.ctx.p)
+        q_minus = f.ctx.p**cf.beta - 1
+        # g = a/q_minus lies in (0, 1] for the left limit and in [0, 1) for tau,
+        # whose chain starts from <f^ceil(g)>
+        m = (cf.a - 1) // q_minus if left else cf.a // q_minus
+        a = cf.a - m * q_minus
+        seed = Ideal.unit(f.ctx) if left or not a else Ideal(f.ctx, (f,))
+        trace = _phi_fixed_point(f, a, cf.beta, seed)
+        return _root_scaled(f, m, cf.d, trace[-1])
+    finally:
+        _query_powers.reset(tokens[1])
+        _step_memo.reset(tokens[0])
 
 
 def tau_left_limit(f: Polynomial, c: Fraction) -> Ideal:

@@ -53,7 +53,7 @@ class CorpusEntry:
     expect_jumps: tuple[Fraction, ...] | None = None
 
     def context(self) -> RingContext:
-        return RingContext(self.p, infer_variables(self.f_text))
+        return RingContext(self.p, infer_variables(self.f_text) or ["x"])
 
     def poly(self) -> Polynomial:
         return parse_poly(self.f_text, self.context())
@@ -105,7 +105,7 @@ def _entry_from_row(row: dict, index: int) -> CorpusEntry:
                 raise ValueError(f"expect_jumps must be a list, got {expect!r}")
             expect = tuple(sorted(parse_rational(x, "expect_jumps") for x in expect))
         entry = CorpusEntry(row["p"], row["f"], bound, expect)
-        if entry.poly().is_constant():  # also validates the prime and the text now
+        if entry.poly().is_constant():  # also validates p and the text; a constant f reads in x
             raise ValueError(f"f: {entry.f_text!r} is zero or a unit mod {entry.p}")
     except ValueError as err:
         raise ValueError(f"corpus entry {index}: {err}") from err

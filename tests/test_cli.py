@@ -372,7 +372,9 @@ class TestExitCodes:
         assert err == f"fjump: corpus entry 1: B: need a positive bound, got {value}\n"
 
     @pytest.mark.parametrize(
-        ("p", "f"), [(2, "x+x"), (3, "3*x*y"), (2, "2x+3")], ids=["zero", "zero_mod_3", "unit"]
+        ("p", "f"),
+        [(2, "x+x"), (3, "3*x*y"), (2, "2x+3"), (5, "4"), (5, "0")],
+        ids=["zero", "zero_mod_3", "unit", "unit_no_variable", "zero_no_variable"],
     )
     def test_corpus_f_zero_or_unit(self, capsys, tmp_path, p, f):
         path = tmp_path / "corpus.jsonl"

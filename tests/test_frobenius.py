@@ -9,6 +9,7 @@ from fjump import (
     frobenius_decompose,
     frobenius_root_ideal,
     frobenius_root_poly,
+    reduced_groebner,
 )
 
 from conftest import ideal, poly, random_ideal, random_poly, reassemble
@@ -150,6 +151,12 @@ class TestRootOfIdeal:
 
     def test_perfect_powers(self, ctx2):
         assert frobenius_root_ideal(ideal(ctx2, "x^2", "y^2"), 1) == ideal(ctx2, "x", "y")
+
+    def test_all_monomial_root_carries_its_reduced_basis(self, ctx3):
+        # the classes of x^4 y, x y^5, x^3 y^3, x^3 y and y^6 hold one term each
+        root = frobenius_root_ideal(ideal(ctx3, "x^4*y + x*y^5", "x^3*y^3", "x^3*y + y^6"), 1)
+        assert root._gb is not None
+        assert root._gb == reduced_groebner(root.generators, ctx3) == ideal(ctx3, "y", "x").groebner_basis()
 
     def test_generator_independence(self, ctx3):
         rng = random.Random(19)

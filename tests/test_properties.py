@@ -20,7 +20,7 @@ from fjump import (  # noqa: E402
 from fjump.ideals import _s_poly  # noqa: E402
 from fjump.ring import grevlex_key  # noqa: E402
 
-from conftest import reassemble  # noqa: E402
+from conftest import poly, reassemble  # noqa: E402
 
 settings = hypothesis.settings(
     derandomize=True, database=None, deadline=None, max_examples=60
@@ -78,6 +78,41 @@ def test_root_ignores_repeats_order_and_zeros(case, e, data):
     padded = _padded(data.draw, gens, ctx)
     root = frobenius_root_ideal(Ideal(ctx, padded), e)
     assert root.groebner_basis() == frobenius_root_ideal(Ideal(ctx, gens), e).groebner_basis()
+
+
+ROOT_CONTEXTS = [
+    RingContext(p, names) for p in (2, 3, 5, 7) for names in (("x",), ("x", "y"), ("x", "y", "z"))
+]
+
+
+def _root_by_definition(ctx, h, gens, e):
+    """I_e(h*J): the ideal of the parts of h*g over the generators g of J."""
+    return Ideal(ctx, [part for g in gens for part in frobenius_decompose(h * g, e).values()])
+
+
+@pytest.mark.parametrize("ctx", ROOT_CONTEXTS, ids=repr)
+@settings
+@hypothesis.given(st.data())
+def test_root_of_product_matches_definition(ctx, data):
+    h = data.draw(polys(ctx, max_terms=3, max_exp=5))
+    gens = data.draw(st.lists(polys(ctx, max_terms=3, max_exp=5), max_size=3))
+    e = data.draw(st.integers(1, 2))
+    root = frobenius_root_ideal(Ideal(ctx, gens), e, h)
+    if all(len(g.terms) == 1 for g in root.generators):
+        # no multi-term part: the minimal monomials are carried as the basis
+        assert root._gb == reduced_groebner(root.generators, ctx)
+    assert root == _root_by_definition(ctx, h, gens, e)
+
+
+def test_root_of_product_drops_cancelled_terms():
+    # at p = 3, (x + y)(x^2 - xy + y^2 + x^4 y) = x^3 + y^3 + x^5 y + x^4 y^2:
+    # x^2 y and x y^2 cancel. Counted as lone constants they would make the
+    # root <1>; their classes keep x^5 y and x^4 y^2 alone, each the monomial x
+    ctx = RingContext(3, ("x", "y"))
+    h, g = poly(ctx, "x + y"), poly(ctx, "x^2 - x*y + y^2 + x^4*y")
+    root = frobenius_root_ideal(Ideal(ctx, (g,)), 1, h)
+    assert root == _root_by_definition(ctx, h, [g], 1) == Ideal(ctx, (poly(ctx, "x"), poly(ctx, "y")))
+    assert sorted(map(len, (r.terms for r in root.generators))) == [1, 2]
 
 
 @st.composite

@@ -714,9 +714,9 @@ class TestSharedRoots:
         calls = []
         real = testideals.frobenius_root_ideal
 
-        def counted(I, e):
+        def counted(I, e, h=None):
             calls.append(e)
-            return real(I, e)
+            return real(I, e, h)
 
         monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
         f = poly(ctx3, "x^2+y^3")
@@ -732,3 +732,36 @@ class TestSharedRoots:
         with pytest.raises(BudgetExceededError):
             enumerate_jumps(poly(ctx3, "x^2+y^3"), 1)
         assert testideals._step_memo.get() is None
+
+    @pytest.mark.parametrize(
+        ("p", "text", "c"),
+        [(5, "x^2+y^3", Fraction(19, 24)), (5, "x^3+y^4+x^2*y^2", Fraction(3, 4))],
+    )
+    def test_query_builds_each_digit_power_once(self, monkeypatch, p, text, c):
+        built, used = {}, []
+        real_pow, real_root = Polynomial._small_pow, testideals.frobenius_root_ideal
+
+        def counted_pow(g, d):
+            built[g, d] = built.get((g, d), 0) + 1
+            return real_pow(g, d)
+
+        def counted_root(I, e, h=None):
+            used.append(h)
+            return real_root(I, e, h)
+
+        monkeypatch.setattr(Polynomial, "_small_pow", counted_pow)
+        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted_root)
+        f = poly(RingContext(p, ("x", "y")), text)
+        tau(f, c)
+        assert built and max(built.values()) == 1
+        # the Phi iterates take some digit step more than once
+        assert len([h for h in used if h is not None]) > len(built)
+        assert testideals._step_memo.get() is None
+        assert testideals._query_powers.get() is None
+
+    def test_budget_error_closes_the_query_block(self, ctx3, monkeypatch):
+        monkeypatch.setattr(testideals, "PHI_STEP_BUDGET", 0)
+        with pytest.raises(BudgetExceededError):
+            tau(poly(ctx3, "x^2+y^3"), Fraction(1, 2))
+        assert testideals._step_memo.get() is None
+        assert testideals._query_powers.get() is None
