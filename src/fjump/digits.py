@@ -59,15 +59,15 @@ def canonicalize(c: Fraction, p: int) -> CanonicalForm:
     exponent; Euler's totient of that part also works but can be much
     larger).
     """
-    if c <= 0:
+    num, den = c.numerator, c.denominator
+    if num <= 0:
         raise ValueError(f"need a positive rational, got {c}")
-    den = c.denominator
-    d = 0
-    while den % p == 0:
-        den //= p
+    free, d = den, 0
+    while free % p == 0:
+        free //= p
         d += 1
-    beta = multiplicative_order(p, den)
-    a, rest = divmod(c.numerator * p**d * (p**beta - 1), c.denominator)
+    beta = multiplicative_order(p, free)
+    a, rest = divmod(num * p**d * (p**beta - 1), den)
     assert rest == 0
     return CanonicalForm(a, d, beta, p)
 

@@ -239,7 +239,7 @@ class Ideal:
     def contains(self, other: Ideal) -> bool:
         if self is other:
             return True
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("ring context mismatch")
         return all(self.contains_poly(g) for g in other.generators)
 
@@ -248,7 +248,7 @@ class Ideal:
             return True
         if not isinstance(other, Ideal):
             return NotImplemented
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             return False
         return self.groebner_basis() == other.groebner_basis()
 
@@ -262,7 +262,7 @@ class Ideal:
     def scale(self, h: Polynomial) -> Ideal:
         """The ideal h * self, whose reduced basis is h * G with h made monic
         and the tails reduced (G the reduced basis of self)."""
-        if self.ctx != h.ctx:
+        if self.ctx is not h.ctx and self.ctx != h.ctx:
             raise ValueError("ring context mismatch")
         gb = self.groebner_basis()
         if h.is_zero() or not gb:

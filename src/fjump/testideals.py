@@ -31,13 +31,14 @@ the chain stationary forever: the fixed point is a rigorous stopping rule.
 
 f has few distinct test ideals, so digit steps and Skoda shifts repeat.
 Inside a ``shared_roots()`` block, which ``enumerate_jumps`` and each
-``verify`` entry open, a per-thread memo takes each root I_e(f^n * J) of
-level e = 1 (a digit step, n < p) or e = 0 (the shift f^n * J) once,
-keyed (e, f, n, J); an ideal hashes by its reduced basis. Each value the
-memo stores is interned in it, mapped to itself, so equal ideals in a block
-are one object and a repeated key matches by identity. A tau or left-limit
-query opens a block of its own when none is open, and builds each power f^n
-once; it drops them on return, as at large p they have up to p terms each.
+``verify`` entry open, each f has a digit table: the ideals its roots meet
+are interned as numbered states, each mapped once from its reduced basis,
+and the table maps (d, J) to the state of the digit step I_1(f^d * J) and
+(n, J) to that of the Skoda shift f^n * J, each taken once. A walk that
+meets known steps costs one lookup of a small int per digit, and equal
+ideals in a block are one object. A tau or left-limit query opens a block
+of its own when none is open, and builds each power f^n once; it drops
+them on return, as at large p they have up to p terms each.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ def _require_nonzero(f: Polynomial):
         raise ValueError("the zero polynomial has no test ideals")
 
 
+def _as_fraction(c) -> Fraction:
+    return c if isinstance(c, Fraction) else Fraction(c)
+
+
 @contextmanager
 def shared_roots():
     """Memoize the digit steps of this thread's enclosed calls; nested blocks share one memo."""
@@ -77,15 +82,52 @@ def shared_roots():
         _step_memo.reset(token)
 
 
-def _memoized(memo: dict | None, key: tuple, build) -> Ideal:
-    """build(), taken once per key in a ``shared_roots()`` block and interned."""
-    if memo is None:
-        return build()
-    value = memo.get(key)
-    if value is None:
-        value = build()
-        memo[key] = value = memo.setdefault(value, value)
-    return value
+class _DigitTable:
+    """The digit steps and Skoda shifts of one f, over interned ideals.
+
+    ``states[i]`` is the i-th ideal met, carrying its reduced basis as its
+    generators, and ``index`` numbers it by value. ``delta[i][d]`` is the
+    state of I_1(f^d * states[i]) and ``shifts[n, i]`` that of
+    f^n * states[i].
+    """
+
+    __slots__ = ("states", "index", "delta", "shifts", "_seed")
+
+    def __init__(self):
+        self.states: list[Ideal] = []
+        self.index: dict[Ideal, int] = {}
+        self.delta: list[dict[int, int]] = []
+        self.shifts: dict[tuple[int, int], int] = {}
+        self._seed: Ideal | None = None
+
+    def state(self, J: Ideal) -> int:
+        """The number of J, given to it when first met."""
+        i = self.index.get(J)
+        if i is None:
+            gb = J.groebner_basis()
+            if J.generators is not gb:
+                J = J._with_basis(gb)
+            i = self.index[J] = len(self.states)
+            self.states.append(J)
+            self.delta.append({})
+        return i
+
+    def seed(self, f: Polynomial) -> Ideal:
+        """<f>, its generator made monic, interned once."""
+        if self._seed is None:
+            self._seed = self.states[self.state(Ideal(f.ctx, (f,)))]
+        return self._seed
+
+
+def _table(f: Polynomial) -> _DigitTable:
+    """f's table in the open ``shared_roots()`` block, or one for a single walk."""
+    tables = _step_memo.get()
+    if tables is None:
+        return _DigitTable()
+    table = tables.get(f)
+    if table is None:
+        table = tables[f] = _DigitTable()
+    return table
 
 
 def _power(f: Polynomial, n: int) -> Polynomial:
@@ -105,19 +147,32 @@ def _digit_step(f: Polynomial, d: int, J: Ideal) -> Ideal:
 def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
     """I_e(f^n * J) by the digit recursion; never expands f^n for n >= p^e."""
     p = f.ctx.p
-    memo = _step_memo.get()
-    for _ in range(e):
-        n, d = divmod(n, p)
-        step = _memoized(memo, (1, f, d, J), lambda: _digit_step(f, d, J))
-        # with only 0 digits left each step is J -> I_1(J), which contains J
-        # (each element lies in the ideal of its Frobenius parts): J grows
-        # until the first step that returns it, and stays from then on
-        if not (d or n) and step == J:
-            break
-        J = step
+    table = _table(f)
+    states, delta = table.states, table.delta
+    i = table.state(J)
+    while e:
+        # digits come off a word of at most 64 of them: dividing all of n
+        # once per digit would take time quadratic in e
+        k = min(e, 64)
+        e -= k
+        n, word = divmod(n, p**k)
+        for _ in range(k):
+            word, d = divmod(word, p)
+            j = delta[i].get(d)
+            if j is None:
+                j = delta[i][d] = table.state(_digit_step(f, d, states[i]))
+            # with only 0 digits left each step is J -> I_1(J), which contains J
+            # (each element lies in the ideal of its Frobenius parts): J grows
+            # until the first step that returns it, and stays from then on
+            if j == i and not (d or word or n):
+                return states[i]
+            i = j
     if n:
-        J = _memoized(memo, (0, f, n, J), lambda: J.scale(_power(f, n)))
-    return J
+        j = table.shifts.get((n, i))
+        if j is None:
+            j = table.shifts[n, i] = table.state(states[i].scale(_power(f, n)))
+        i = j
+    return states[i]
 
 
 def tau_dyadic(f: Polynomial, r: int, e: int) -> Ideal:
@@ -147,7 +202,7 @@ def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ide
     for _ in range(PHI_STEP_BUDGET):
         nxt = phi_step(f, a, beta, trace[-1])
         trace.append(nxt)
-        if nxt == trace[-2]:
+        if nxt is trace[-2] or nxt == trace[-2]:
             return trace
     raise BudgetExceededError(
         f"chain did not stabilize within {PHI_STEP_BUDGET} steps "
@@ -157,8 +212,8 @@ def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ide
 
 def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
     """tau(f^c) for c > 0, or its left limit, by the Skoda split p^d c = m + g."""
-    memo = _step_memo.get()  # a block of the query's own when none is open
-    tokens = _step_memo.set({} if memo is None else memo), _query_powers.set({})
+    tables = _step_memo.get()  # a block of the query's own when none is open
+    tokens = _step_memo.set({} if tables is None else tables), _query_powers.set({})
     try:
         cf = canonicalize(c, f.ctx.p)
         q_minus = f.ctx.p**cf.beta - 1
@@ -166,7 +221,7 @@ def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
         # whose chain starts from <f^ceil(g)>
         m = (cf.a - 1) // q_minus if left else cf.a // q_minus
         a = cf.a - m * q_minus
-        seed = Ideal.unit(f.ctx) if left or not a else Ideal(f.ctx, (f,))
+        seed = Ideal.unit(f.ctx) if left or not a else _table(f).seed(f)
         trace = _phi_fixed_point(f, a, cf.beta, seed)
         return _root_scaled(f, m, cf.d, trace[-1])
     finally:
@@ -177,8 +232,8 @@ def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
 def tau_left_limit(f: Polynomial, c: Fraction) -> Ideal:
     """The common value of tau(f^(c - eps)) for all small eps > 0."""
     _require_nonzero(f)
-    c = Fraction(c)
-    if c <= 0:
+    c = _as_fraction(c)
+    if c.numerator <= 0:
         raise ValueError(f"need a positive exponent, got {c}")
     return _tau_split(f, c, left=True)
 
@@ -186,10 +241,11 @@ def tau_left_limit(f: Polynomial, c: Fraction) -> Ideal:
 def tau(f: Polynomial, c: Fraction) -> Ideal:
     """The generalized test ideal tau(f^c) at an exact rational c >= 0."""
     _require_nonzero(f)
-    c = Fraction(c)
-    if c < 0:
+    c = _as_fraction(c)
+    num = c.numerator
+    if num < 0:
         raise ValueError(f"need a non-negative exponent, got {c}")
-    if c == 0:
+    if not num:
         return Ideal.unit(f.ctx)
     return _tau_split(f, c, left=False)
 
@@ -209,7 +265,7 @@ class Jump:
 
 def is_jumping(f: Polynomial, c: Fraction) -> Jump:
     """Test tau(f^(c-)) != tau(f^c), returning both witness ideals."""
-    c = Fraction(c)
+    c = _as_fraction(c)
     left = tau_left_limit(f, c)
     at = tau(f, c)
     if not left.contains(at):

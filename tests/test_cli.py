@@ -233,6 +233,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "fjump: the order of 2 modulo 1000000007 exceeds 1048576\n"
 
+    def test_long_period_answers(self, capsys):
+        # a period of 100002 digits under the cap: each Phi step walks that
+        # many root levels, peeling the digits a word at a time
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "tau", "-p", "2", "-c", "1/100003", "x^2+y^3")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out == "1"
+
     @pytest.mark.parametrize("command", ["tau -c", "jumps -B"])
     def test_huge_exponent_budget(self, capsys, command):
         # f^(10^300) past the root levels would fill memory before it is built

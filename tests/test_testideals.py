@@ -701,6 +701,41 @@ class TestSharedRoots:
                 assert all(value is first for value in rest)
         assert tau(f, Fraction(7, 10)) is not tau(f, Fraction(3, 4))
 
+    @pytest.mark.parametrize(("p", "text"), [(3, "2*x^2"), (5, "2*x*y+2")])
+    def test_interned_values_keep_their_reduced_basis(self, p, text):
+        # f is not monic, so (f,) is not the reduced basis of <f>: the seed
+        # <f> of tau at 1/2 is interned first, and tau at 1 is equal to it
+        f = poly(RingContext(p, ("x", "y")), text)
+        exponents = (Fraction(1, 2), Fraction(1), Fraction(2, 3), Fraction(7, 3))
+        seed = Ideal(f.ctx, (f,))
+        with testideals.shared_roots():
+            values = [fn(f, c) for c in exponents for fn in (tau, tau_left_limit)]
+            values += [tau_dyadic(f, r, e) for r, e in ((1, 1), (p, 1), (p + 1, 2))]
+            values += [phi_step(f, a, beta, seed) for a, beta in ((0, 1), (1, 1), (p, 2))]
+        assert values[2] == seed
+        assert all(value.generators == value.groebner_basis() for value in values)
+
+    def test_repeats_walk_the_table_alone(self, ctx3, monkeypatch):
+        # a repeated query takes no root, and f parsed twice shares one table
+        calls = []
+        real = testideals.frobenius_root_ideal
+
+        def counted(I, e, h=None):
+            calls.append(e)
+            return real(I, e, h)
+
+        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
+        queries = [(tau, Fraction(5, 6)), (tau_left_limit, Fraction(5, 6)), (tau, Fraction(7, 4))]
+        with testideals.shared_roots():
+            first = [fn(poly(ctx3, "x^2+y^3"), c) for fn, c in queries]
+            assert calls
+            calls.clear()
+            again = [fn(poly(ctx3, "x^2+y^3"), c) for fn, c in queries]
+            assert calls == []
+            assert len(testideals._step_memo.get()) == 1
+        assert all(a is b for a, b in zip(first, again))
+        assert testideals._step_memo.get() is None
+
     def test_nested_block_reuses_the_memo(self):
         assert testideals._step_memo.get() is None
         with testideals.shared_roots():
