@@ -34,9 +34,13 @@ Inside a ``shared_roots()`` block, which ``enumerate_jumps`` and each
 ``verify`` entry open, each f has a digit table: the ideals its roots meet
 are interned as numbered states, each mapped once from its reduced basis,
 and the table maps (d, J) to the state of the digit step I_1(f^d * J) and
-(n, J) to that of the Skoda shift f^n * J, each taken once. A walk that
-meets known steps costs one lookup of a small int per digit, and equal
-ideals in a block are one object. A tau or left-limit query opens a block
+(n, J) to that of the Skoda shift f^n * J, each taken once. A walk runs on
+state numbers: one that meets known steps costs one lookup of a small int
+per digit, and equal ideals in a block are one object. The table also
+keeps what the walks found, each found once per block: the Phi trace from
+a state, the state of tau(f^c) or of its left limit at each c asked for,
+and whether one state contains another, which ``is_jumping``, ``chain``
+and ``nil_compare`` ask. A tau or left-limit query opens a block
 of its own when none is open, and builds each power f^n once; it drops
 them on return, as at large p they have up to p terms each.
 """
@@ -88,16 +92,23 @@ class _DigitTable:
     ``states[i]`` is the i-th ideal met, carrying its reduced basis as its
     generators, and ``index`` numbers it by value. ``delta[i][d]`` is the
     state of I_1(f^d * states[i]) and ``shifts[n, i]`` that of
-    f^n * states[i].
+    f^n * states[i]. Three memos keep what walks on these numbers found:
+    ``fixed[a, beta, i]`` is the Phi trace from state i as a tuple of
+    states, ending with the repeated one; ``values[num, den, left]`` is the
+    state of tau(f^(num/den)), or of its left limit; and ``below[i, j]``
+    says whether states[i] contains states[j].
     """
 
-    __slots__ = ("states", "index", "delta", "shifts", "_seed")
+    __slots__ = ("states", "index", "delta", "shifts", "fixed", "values", "below", "_seed")
 
     def __init__(self):
         self.states: list[Ideal] = []
         self.index: dict[Ideal, int] = {}
         self.delta: list[dict[int, int]] = []
         self.shifts: dict[tuple[int, int], int] = {}
+        self.fixed: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self.values: dict[tuple[int, int, bool], int] = {}
+        self.below: dict[tuple[int, int], bool] = {}
         self._seed: Ideal | None = None
 
     def state(self, J: Ideal) -> int:
@@ -124,10 +135,19 @@ def _table(f: Polynomial) -> _DigitTable:
     tables = _step_memo.get()
     if tables is None:
         return _DigitTable()
-    table = tables.get(f)
-    if table is None:
-        table = tables[f] = _DigitTable()
-    return table
+    return tables.get(f) or tables.setdefault(f, _DigitTable())
+
+
+def _contains(f: Polynomial, I: Ideal, J: Ideal) -> bool:
+    """Whether I contains J; in a block, f's table checks each pair once."""
+    if I is J or _step_memo.get() is None:
+        return I.contains(J)
+    table = _table(f)
+    key = table.state(I), table.state(J)
+    known = table.below.get(key)
+    if known is None:
+        known = table.below[key] = I.contains(J)
+    return known
 
 
 def _power(f: Polynomial, n: int) -> Polynomial:
@@ -144,12 +164,10 @@ def _digit_step(f: Polynomial, d: int, J: Ideal) -> Ideal:
     return root._with_basis(root.groebner_basis())
 
 
-def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
-    """I_e(f^n * J) by the digit recursion; never expands f^n for n >= p^e."""
+def _walk(table: _DigitTable, f: Polynomial, n: int, e: int, i: int) -> int:
+    """The state of I_e(f^n * states[i]); never expands f^n for n >= p^e."""
     p = f.ctx.p
-    table = _table(f)
     states, delta = table.states, table.delta
-    i = table.state(J)
     while e:
         # digits come off a word of at most 64 of them: dividing all of n
         # once per digit would take time quadratic in e
@@ -165,14 +183,20 @@ def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
             # (each element lies in the ideal of its Frobenius parts): J grows
             # until the first step that returns it, and stays from then on
             if j == i and not (d or word or n):
-                return states[i]
+                return i
             i = j
     if n:
         j = table.shifts.get((n, i))
         if j is None:
             j = table.shifts[n, i] = table.state(states[i].scale(_power(f, n)))
         i = j
-    return states[i]
+    return i
+
+
+def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
+    """I_e(f^n * J) by the digit recursion, in f's table."""
+    table = _table(f)
+    return table.states[_walk(table, f, n, e, table.state(J))]
 
 
 def tau_dyadic(f: Polynomial, r: int, e: int) -> Ideal:
@@ -195,38 +219,53 @@ def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ide
     """Iterate Phi from ``start`` until two consecutive values agree.
 
     Returns the trace [start, Phi(start), ...] ending with the repeated
-    value. Raises if no fixed point appears within PHI_STEP_BUDGET steps
-    (the chain is guaranteed to stabilize, so this signals a bug).
+    value, as f's table keeps it in state numbers. Raises if no fixed point
+    appears within PHI_STEP_BUDGET steps (the chain is guaranteed to
+    stabilize, so this signals a bug).
     """
-    trace = [start]
-    for _ in range(PHI_STEP_BUDGET):
-        nxt = phi_step(f, a, beta, trace[-1])
-        trace.append(nxt)
-        if nxt is trace[-2] or nxt == trace[-2]:
-            return trace
-    raise BudgetExceededError(
-        f"chain did not stabilize within {PHI_STEP_BUDGET} steps "
-        f"(a={a}, beta={beta}); the chain must stabilize, so report a bug"
-    )
+    table = _table(f)
+    key = a, beta, table.state(start)
+    trace = table.fixed.get(key)
+    if trace is None:
+        trace = [key[2]]
+        for _ in range(PHI_STEP_BUDGET):
+            trace.append(_walk(table, f, a, beta, trace[-1]))
+            if trace[-1] == trace[-2]:
+                break
+        else:
+            raise BudgetExceededError(
+                f"chain did not stabilize within {PHI_STEP_BUDGET} steps "
+                f"(a={a}, beta={beta}); the chain must stabilize, so report a bug"
+            )
+        trace = table.fixed[key] = tuple(trace)
+    states = table.states
+    return [states[k] for k in trace]
 
 
 def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
     """tau(f^c) for c > 0, or its left limit, by the Skoda split p^d c = m + g."""
-    tables = _step_memo.get()  # a block of the query's own when none is open
-    tokens = _step_memo.set({} if tables is None else tables), _query_powers.set({})
-    try:
-        cf = canonicalize(c, f.ctx.p)
-        q_minus = f.ctx.p**cf.beta - 1
-        # g = a/q_minus lies in (0, 1] for the left limit and in [0, 1) for tau,
-        # whose chain starts from <f^ceil(g)>
-        m = (cf.a - 1) // q_minus if left else cf.a // q_minus
-        a = cf.a - m * q_minus
-        seed = Ideal.unit(f.ctx) if left or not a else _table(f).seed(f)
-        trace = _phi_fixed_point(f, a, cf.beta, seed)
-        return _root_scaled(f, m, cf.d, trace[-1])
-    finally:
-        _query_powers.reset(tokens[1])
-        _step_memo.reset(tokens[0])
+    tables = _step_memo.get()
+    if tables is None:  # a block of the query's own
+        tables = {}
+    table = tables.get(f) or tables.setdefault(f, _DigitTable())
+    key = c.numerator, c.denominator, left
+    k = table.values.get(key)
+    if k is None:
+        tokens = _step_memo.set(tables), _query_powers.set({})
+        try:
+            cf = canonicalize(c, f.ctx.p)
+            q_minus = f.ctx.p**cf.beta - 1
+            # g = a/q_minus lies in (0, 1] for the left limit and in [0, 1) for
+            # tau, whose chain starts from <f^ceil(g)>
+            m = (cf.a - 1) // q_minus if left else cf.a // q_minus
+            a = cf.a - m * q_minus
+            seed = Ideal.unit(f.ctx) if left or not a else table.seed(f)
+            trace = _phi_fixed_point(f, a, cf.beta, seed)
+            k = table.values[key] = _walk(table, f, m, cf.d, table.state(trace[-1]))
+        finally:
+            _query_powers.reset(tokens[1])
+            _step_memo.reset(tokens[0])
+    return table.states[k]
 
 
 def tau_left_limit(f: Polynomial, c: Fraction) -> Ideal:
@@ -268,7 +307,7 @@ def is_jumping(f: Polynomial, c: Fraction) -> Jump:
     c = _as_fraction(c)
     left = tau_left_limit(f, c)
     at = tau(f, c)
-    if not left.contains(at):
+    if not _contains(f, left, at):
         raise AssertionError(
             f"tau left limit fails to contain tau at c={c}; this is a bug"
         )

@@ -197,7 +197,9 @@ def _random_rational_between(rng: random.Random, lo: Fraction, hi: Fraction) -> 
     """A rational strictly inside (lo, hi) with a modest denominator."""
     den = rng.randint(7, 40)
     num = rng.randint(1, den - 1)
-    return lo + (hi - lo) * Fraction(num, den)
+    # lo + (hi - lo) * num/den over one denominator, one Fraction built
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return Fraction(a * d * den + (c * b - a * d) * num, b * d * den)
 
 
 @testideals.shared_roots()  # one root memo per entry, across every check

@@ -9,10 +9,12 @@ from fjump import (
     Ideal,
     Polynomial,
     RingContext,
+    chains,
     parse_poly,
     enumerate_jumps,
     frobenius_root_ideal,
     frobenius_root_poly,
+    ideals,
     is_jumping,
     nu,
     phi_step,
@@ -800,3 +802,65 @@ class TestSharedRoots:
             tau(poly(ctx3, "x^2+y^3"), Fraction(1, 2))
         assert testideals._step_memo.get() is None
         assert testideals._query_powers.get() is None
+
+    def test_table_memos_match_calls_outside_a_block(self):
+        # the block asks everything twice, so the second round reads the Phi
+        # traces, the tau values and the containments from the table memos
+        rng = random.Random(113)
+        for p in (2, 3, 5):
+            for names in (("x", "y"), ("x", "y", "z")):
+                ctx = RingContext(p, names)
+                f = random_poly(rng, ctx, max_terms=3, max_exp=3)
+                if f.is_constant():
+                    continue
+                cs = [Fraction(rng.randint(1, 8), rng.choice([2, 3, 4, p, p + 1])) for _ in range(4)]
+                classes = [(rng.randint(1, 2 * p), rng.randint(1, 2)) for _ in range(3)]
+
+                def answers():
+                    out = [(tau(f, c).generators, tau_left_limit(f, c).generators) for c in cs]
+                    jumps = [is_jumping(f, c) for c in cs]
+                    out += [(jt.tau_left.generators, jt.tau_at.generators) for jt in jumps]
+                    traces = [chains.chain(f, a, beta) for a, beta in classes]
+                    out += [[term.generators for term in trace.terms] for trace in traces]
+                    for n1 in traces:
+                        for n2 in traces:
+                            cmp = chains.nil_compare(n1, n2)
+                            out.append((cmp.gamma_order, cmp.representative_order))
+                    return out
+
+                expected = answers()
+                with testideals.shared_roots():
+                    for _ in range(2):
+                        assert answers() == expected
+
+    def test_repeats_take_no_walk_and_no_normal_form(self, ctx3, monkeypatch):
+        walks, forms, fixed = [], [], []
+
+        def counting(owner, name, log):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                log.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(testideals, "_walk", walks)
+        counting(ideals, "normal_form", forms)
+        counting(testideals, "_phi_fixed_point", fixed)
+        f = poly(ctx3, "x^2+y^3")
+
+        def answers():
+            traces = [chains.chain(f, a, beta) for a, beta in ((1, 1), (5, 2), (2, 1))]
+            orders = [chains.nil_compare(traces[0], other) for other in traces[1:]]
+            jt = is_jumping(f, Fraction(2, 3))
+            return [t.terms for t in traces], orders, (jt.tau_left, jt.tau_at)
+
+        with testideals.shared_roots():
+            first = answers()
+            assert walks and forms and fixed
+            walks.clear(), forms.clear(), fixed.clear()
+            # a repeated fixed point walks no digit, a repeated containment
+            # takes no normal form, and a repeated tau starts no Phi chain
+            assert answers() == first
+            assert walks == forms == fixed == []

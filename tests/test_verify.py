@@ -1,9 +1,42 @@
+import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from fjump import Corpus, chains, default_corpus, load_corpus, run_suite, testideals
-from fjump.verify import parse_rational
+from fjump import Corpus, chains, default_corpus, enumerate_jumps, load_corpus, run_suite, testideals
+from fjump.verify import _random_rational_between, parse_rational
+
+# (p, f, digest of every jump with its two witness ideals) for each entry of
+# the built-in corpus, recorded before the tau path memoized its Phi traces,
+# values and containments per digit table; the suite's stable hash only sees
+# whether each check passed
+CORPUS_ANSWERS = [
+    (2, "x", "6d2d0955470243af"),
+    (2, "x*y", "ab239ee26ab3884a"),
+    (2, "x^2y^3", "ee6e97691ff3aac1"),
+    (2, "x^2+y^3", "4063688f23235381"),
+    (2, "x^3+y^3", "29ae5fc523e88975"),
+    (3, "x", "bd650bce5ccc6c2d"),
+    (3, "x*y^2", "2bd4e37c5236d12f"),
+    (3, "x^2+y^3", "cf6ba8b0b15c2acc"),
+    (3, "x^2", "5b8087b012426bb0"),
+    (5, "x^2+y^3", "6f0cc35095444b40"),
+    (5, "x^3", "255e4c2202f8764f"),
+    (5, "x*y", "e515ad00a9f9d33f"),
+    (7, "x^2+y^3", "d7dbb02a5621c429"),
+    (7, "x", "c91426bc5d7a200f"),
+]
+
+
+def _answer_digest(report) -> str:
+    lines = [
+        f"{j.c}: {', '.join(j.tau_left.generator_strings())} | {', '.join(j.tau_at.generator_strings())}"
+        for j in report.jumps
+    ]
+    lines += [f"unresolved {lo} {hi}" for lo, hi in report.unresolved]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
 class TestParseRational:
@@ -122,6 +155,28 @@ def _small_corpus():
 
 
 class TestRunSuite:
+    def test_default_corpus_answers_pinned(self):
+        got = [
+            (e.p, e.f_text, _answer_digest(enumerate_jumps(e.poly(), e.bound)))
+            for e in default_corpus().entries
+        ]
+        assert got == CORPUS_ANSWERS
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_rationals_unchanged(self, seed):
+        # the draw once took three Fraction operations: lo + (hi - lo) * num/den
+        def drawn_before(rng, lo, hi):
+            den = rng.randint(7, 40)
+            num = rng.randint(1, den - 1)
+            return lo + (hi - lo) * Fraction(num, den)
+
+        gaps = [(0, 1), (0, Fraction(1, 3)), (Fraction(5, 6), 1), (Fraction(2, 3), Fraction(3, 2)), (2, 3)]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for lo, hi in gaps * 3:
+            lo, hi = Fraction(lo), Fraction(hi)
+            c = _random_rational_between(ours, lo, hi)
+            assert c == drawn_before(theirs, lo, hi) and lo < c < hi
+
     def test_small_corpus_passes(self):
         report = run_suite(_small_corpus())
         assert report.passed
