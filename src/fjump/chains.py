@@ -142,8 +142,8 @@ def bijection_check(g: Polynomial, c: Fraction, next_jump: Fraction | None = Non
     for beta in range(1, BIJECTION_BETA_MAX + 1):
         den = p**beta - 1
         a = (c.numerator * den) // c.denominator + 1
-        gamma = Fraction(a, den)
-        if next_jump is not None and gamma > next_jump:
+        # gamma = a/den past the next jump, compared as integers
+        if next_jump is not None and a * next_jump.denominator > next_jump.numerator * den:
             continue
         if chain(g, a, beta).stable == target:
             return True

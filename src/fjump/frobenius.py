@@ -28,7 +28,9 @@ def _split(f: Polynomial, e: int, h: Polynomial | None = None) -> dict[Monomial,
     terms = f.terms
     if h is not None:
         a, b = sorted((h.terms, terms), key=len)
-        terms = _accumulate([(m, c, b) for m, c in a.items()])
+        # times the constant 1, the generator of <1>, b's terms are h*f's
+        one = a == {(0,) * f.ctx.nvars: 1}
+        terms = b if one else _accumulate([(m, c, b) for m, c in a.items()])
     if e > 1:  # level 1, the only one the kernel takes, needs no cap
         # once p^e passes every exponent, each term is its own class with outer
         # exponent 0, so no level past the largest exponent's bit length differs

@@ -9,9 +9,12 @@ LT(h*g) = LT(h)*LT(g), h*J has the basis h*G (G the reduced basis of J,
 h monic) once the tails are reduced: <1> and every h*J skip Buchberger.
 Most inputs are all-monomial, and their reduced basis is just the minimal
 monomial generators, so those are found first and the other generators
-are reduced by them. Buchberger's algorithm runs only on what remains,
-with the Gebauer-Moeller pair updates and the normal selection strategy,
-which keeps runs deterministic.
+are reduced by them. What remains is brought to reduced row echelon form
+over F_p, its columns the monomials in descending grevlex order, which
+drops the repeated and scaled parts a Frobenius root hands over (the
+linear first step of Faugere's F4). Buchberger's algorithm runs only on
+those rows, with the Gebauer-Moeller pair updates and the normal
+selection strategy, which keeps runs deterministic.
 """
 
 from __future__ import annotations
@@ -103,6 +106,29 @@ def _reduce_tails(minimal: list[Polynomial]) -> tuple[Polynomial, ...]:
     return tuple(reduced)
 
 
+def _interreduce(polys: list[Polynomial]) -> list[Polynomial]:
+    """The reduced row echelon form of ``polys`` over F_p, its columns the
+    monomials in descending grevlex order: monic rows, each leading monomial
+    in no other row. Repeated and scaled inputs drop out."""
+    ctx = polys[0].ctx
+    zero = (0,) * ctx.nvars
+    rows: dict[Monomial, Polynomial] = {}
+    for g in polys:
+        # no pivot row holds another pivot, so all of them come off at once
+        parts = [(zero, -c, rows[m].terms) for m, c in g.terms.items() if m in rows]
+        if parts:
+            g = _combine(ctx, [(zero, 1, g.terms), *parts])
+            if g.is_zero():
+                continue
+        g = _monic(g)
+        lead = g.leading_monomial()
+        for m, other in rows.items():
+            if c := other.terms.get(lead):
+                rows[m] = _combine(ctx, [(zero, 1, other.terms), (zero, -c, g.terms)])
+        rows[lead] = g
+    return list(rows.values())
+
+
 def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial of two monic polynomials."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
@@ -151,7 +177,8 @@ def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
     todo = [g for g in todo if not g.is_zero()]
     if not todo:
         return tuple(basis)
-    # deterministic seed order
+    # interreduced, in a deterministic seed order
+    todo = _interreduce(todo)
     todo.sort(key=lambda g: sorted(map(grevlex_key, g.terms), reverse=True))
 
     active: list[int] = []

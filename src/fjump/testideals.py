@@ -159,9 +159,8 @@ def _power(f: Polynomial, n: int) -> Polynomial:
 
 
 def _digit_step(f: Polynomial, d: int, J: Ideal) -> Ideal:
-    """I_1(f^d * J), its generators the reduced basis so lists stay short."""
-    root = frobenius_root_ideal(J, 1, _power(f, d) if d else None)
-    return root._with_basis(root.groebner_basis())
+    """I_1(f^d * J); ``_DigitTable.state`` gives it its basis as generators."""
+    return frobenius_root_ideal(J, 1, _power(f, d) if d else None)
 
 
 def _walk(table: _DigitTable, f: Polynomial, n: int, e: int, i: int) -> int:

@@ -235,8 +235,9 @@ def _check_entry(entry: CorpusEntry, depth: int, seed: int) -> EntryReport:
         # tau(f^c) equals a single Frobenius root just right of each jump
         details = []
         for c, nxt, value in gaps:
-            e = 1
-            while Fraction(1, p**e) >= (nxt - c) / 2:
+            # the least e with 1/p^e < (nxt - c)/2, compared as integers
+            gap, e = nxt - c, 1
+            while 2 * gap.denominator >= p**e * gap.numerator:
                 e += 1
             r = (c.numerator * p**e) // c.denominator + 1
             if testideals.tau_dyadic(f, r, e) != value:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from fjump import (
     Ideal,
     Polynomial,
     RingContext,
+    frobenius_decompose,
     grevlex_key,
     ideals,
     normal_form,
@@ -174,6 +176,38 @@ class TestTextbookOracle:
             for g in gens:
                 self.check(ctx, [g])
                 self.check(ctx, [zero, g, zero])
+
+
+class TestRootLikeInputs:
+    """reduced_groebner on Frobenius parts drawn several times each, scaled and
+    permuted, as a digit step's root hands them over, checked by Buchberger's
+    criterion rather than by another run of the same code."""
+
+    @staticmethod
+    def draws(rng, parts, p):
+        """Each part one to three times, each time times a random unit, shuffled."""
+        one = (0,) * parts[0].ctx.nvars
+        gens = [g.scale_term(one, rng.randint(1, p - 1)) for g in parts for _ in range(rng.randint(1, 3))]
+        rng.shuffle(gens)
+        return gens
+
+    def test_seeded(self):
+        rng = random.Random(57)
+        for p in (2, 3, 5):
+            for nvars in (2, 3):
+                ctx = RingContext(p, ("x", "y", "z")[:nvars])
+                for _ in range(6):
+                    f = random_poly(rng, ctx, max_terms=4, max_exp=2)
+                    g = random_poly(rng, ctx, max_terms=3, max_exp=3)
+                    product = f ** rng.randint(p, 3 * p) * g
+                    parts = list(frobenius_decompose(product, 1).values())
+                    gens = self.draws(rng, parts, p)
+                    gb = reduced_groebner(gens, ctx)
+                    assert reduced_groebner(self.draws(rng, parts, p), ctx) == gb
+                    assert reduced_groebner(parts, ctx) == gb
+                    assert all(normal_form(h, gb).is_zero() for h in gens)
+                    for a, b in itertools.combinations(gb, 2):
+                        assert normal_form(ideals._s_poly(a, b), gb).is_zero(), (a, b)
 
 
 class TestCarriedBasis:
