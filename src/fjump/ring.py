@@ -8,8 +8,9 @@ refuses any power whose term bound passes ``EXPANSION_TERM_BUDGET``. A
 digit power f^d of three or more terms is built by repeated squaring or by
 adding one term at a time, as the term bounds of both ways decide
 (``_squares``): squaring is 2.5x faster for a trinomial at d = 2 and 5x for
-the dense 1+2x+...+10x^9 at d = 100, the term ladder 1.35x faster for a
-4-term f at d = 5 and 150x for x^2+y^3+z^5 at d = 105.
+the dense 1+2x+...+10x^9 at d = 100, the term ladder 1.25-1.45x faster for a
+trinomial at d = 5 or 6, 1.45x for a 4-term f at d = 5 and 150x for
+x^2+y^3+z^5 at d = 105.
 """
 
 from __future__ import annotations
@@ -134,14 +135,20 @@ def _term_bound(f: Polynomial, n: int, deg: int) -> int:
 def _squares(f: Polynomial, d: int) -> bool:
     """Whether f**d, for a digit d < p and f of k >= 3 terms, is cheaper by
     squaring than by ``_small_pow``'s ladder. With N(r) the ``_digit_bound``
-    of f^r, squaring's last product takes N(d//2) N(d - d//2) monomial
-    products; the ladder's partial powers hold at most k (d + 1) N(d) terms,
-    C(d + k, k - 1) if no products collide, and its sums take k^2 (d + 1) parts."""
+    of f^r, squaring takes N(r)^2 monomial products to square f^r and k N(r)
+    to multiply it by f; the ladder's partial powers hold at most k (d + 1)
+    N(d) terms, C(d + k, k - 1) if no products collide, and its sums take
+    k^2 (d + 1) parts."""
     k, v, deg = len(f.terms), f.ctx.nvars, f.total_degree()
-    h = d // 2
-    last = _digit_bound(k, v, deg, h) * _digit_bound(k, v, deg, d - h)
+    squaring, r = 0, 1
+    for bit in bin(d)[3:]:
+        squaring += _digit_bound(k, v, deg, r) ** 2
+        r *= 2
+        if bit == "1":
+            squaring += k * _digit_bound(k, v, deg, r)
+            r += 1
     ladder = math.comb(d + k, k - 1) + k * k * (d + 1)
-    return last <= min(ladder, k * (d + 1) * _digit_bound(k, v, deg, d))
+    return squaring <= min(ladder, k * (d + 1) * _digit_bound(k, v, deg, d))
 
 
 class Polynomial:
@@ -315,8 +322,7 @@ class Polynomial:
 
         Each digit power comes from ``_small_pow``, by squaring or by its
         ladder, and each p-power factor is a cheap exponent stretch; a power
-        past the term budget is refused before either is built, and a single
-        digit is just its digit power.
+        past the term budget is refused before either is built.
         """
         if n < 0:
             raise ValueError("negative exponent")
@@ -328,8 +334,6 @@ class Polynomial:
         if _term_bound(self, n, self.total_degree()) > budget:
             raise BudgetExceededError(f"expanding f^n: its term bound exceeds {budget}")
         p = self.ctx.p
-        if n < p:
-            return self._small_pow(n)
         result = None
         level = 0
         while n:

@@ -174,6 +174,17 @@ class TestDigitPower:
         for d in (2, 7, 29, 30) if nvars > 1 else range(31):
             assert f._small_pow(d) == powers[d], d
 
+    def test_small_pow_ladder_collisions(self):
+        # the dense f above are squared at every digit; this one takes the
+        # ladder at d = 7..19, where its products collide so much that some
+        # partial powers come from one multiplication by g + t
+        f = poly(RingContext(31, ("x",)), "1+2x+3x^2+4x^4")
+        powers = _powers_by_multiplication(f, 31)
+        ladder = [d for d in range(2, 31) if not ring._squares(f, d)]
+        assert ladder == list(range(7, 20))
+        for d in ladder:
+            assert f._small_pow(d) == powers[d], d
+
     @pytest.mark.parametrize("p", [2, 3, 7, 101, 1009])
     def test_binomial_powers(self, p):
         # a two-term f takes its digit powers from the binomial theorem; a
@@ -227,6 +238,9 @@ class TestDigitPower:
         [
             (5, "xy", "x^3+y^4+x^2y^2", 2, True),
             (5, "xy", "x^3+y^4+x^2y^2", 4, True),
+            (7, "xy", "2x^3+3y^3+xy", 4, True),
+            (7, "xy", "2x^3+3y^3+xy", 5, False),
+            (7, "xy", "2x^3+3y^3+xy", 6, False),
             (7, "xyz", "x^2+y^3+z^5+xyz", 5, False),
             (7, "xyz", "x^2+y^3+z^5+xyz", 6, False),
             (101, "x", "1+2x+3x^2+4x^3+5x^4+6x^5+7x^6+8x^7+9x^8+10x^9", 100, True),
@@ -234,9 +248,10 @@ class TestDigitPower:
         ],
     )
     def test_squaring_rule(self, p, vars, text, d, squares):
-        # the faster way on each, timed: squaring 1.25-2.5x faster on the
-        # trinomial and 5x on the dense f, the ladder 1.15-1.35x on the 4-term
-        # f and 150x on the last
+        # the faster way on each, timed: squaring 1.2-2.5x faster on the
+        # trinomials up to d = 4 and 5x on the dense f, the ladder 1.25-1.45x
+        # on the trinomial at d = 5 and 6, 1.45-1.7x on the 4-term f and 150x
+        # on the last
         f = poly(RingContext(p, tuple(vars)), text)
         assert ring._squares(f, d) is squares
 
