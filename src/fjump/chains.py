@@ -20,7 +20,7 @@ from .digits import MAX_ORBIT_SIZE
 from .frobenius import frobenius_root_poly  # noqa: F401 - perfbench/tracer.py wraps this binding
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
-from .testideals import _contains, _phi_fixed_point, enumerate_jumps, tau
+from .testideals import _as_fraction, _contains, _phi_fixed_point, enumerate_jumps, tau
 
 BIJECTION_BETA_MAX = 12
 
@@ -129,7 +129,7 @@ def bijection_check(g: Polynomial, c: Fraction, next_jump: Fraction | None = Non
     is unknown, mismatches are retried with larger beta since gamma may
     have overshot a jump.
     """
-    c = Fraction(c)
+    c = _as_fraction(c)
     if c < 0:
         raise ValueError(f"need c >= 0, got {c}")
     if next_jump is None:

@@ -47,9 +47,6 @@ class CanonicalForm:
     beta: int
     p: int
 
-    def value(self) -> Fraction:
-        return Fraction(self.a, self.p**self.d * (self.p**self.beta - 1))
-
 
 def canonicalize(c: Fraction, p: int) -> CanonicalForm:
     """Write c > 0 as a / (p^d (p^beta - 1)).
@@ -80,13 +77,6 @@ class BasePExpansion:
     integer_part: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
-
-    def digit_prefix(self, k: int) -> list[int]:
-        """First k fractional digits."""
-        out = list(self.preperiod[:k])
-        while len(out) < k and self.period:
-            out.extend(self.period)
-        return out[:k] + [0] * (k - len(out))
 
 
 def expand(s: Fraction, p: int) -> BasePExpansion:

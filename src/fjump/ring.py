@@ -5,19 +5,18 @@ length n with unbounded non-negative entries. Polynomials are immutable
 after construction and safe to share across threads. One kernel,
 ``_shifted_sum``, does every sum, product and term scaling; ``__pow__``
 refuses any power whose term bound passes ``EXPANSION_TERM_BUDGET``. A
-digit power f^d of three or more terms is built by repeated squaring or by
-adding one term at a time, as the term bounds of both ways decide
-(``_squares``): squaring is 2.5x faster for a trinomial at d = 2 and 5x for
-the dense 1+2x+...+10x^9 at d = 100, the term ladder 1.25-1.45x faster for a
-trinomial at d = 5 or 6, 1.45x for a 4-term f at d = 5 and 150x for
-x^2+y^3+z^5 at d = 105.
+digit power f^d is written down term by term from the multinomial theorem,
+or, for f of three or more terms, built by repeated squaring when that takes
+fewer monomial products (``_squares``): squaring is 30x faster for the dense
+1+2x+...+10x^9 at d = 100, the sum 1.5-2.4x faster for a trinomial at
+d = 4..6 and 300x for x^2+y^3+z^5 at d = 105.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import add, sub
 
 Monomial = tuple[int, ...]
@@ -133,12 +132,11 @@ def _term_bound(f: Polynomial, n: int, deg: int) -> int:
 
 
 def _squares(f: Polynomial, d: int) -> bool:
-    """Whether f**d, for a digit d < p and f of k >= 3 terms, is cheaper by
-    squaring than by ``_small_pow``'s ladder. With N(r) the ``_digit_bound``
-    of f^r, squaring takes N(r)^2 monomial products to square f^r and k N(r)
-    to multiply it by f; the ladder's partial powers hold at most k (d + 1)
-    N(d) terms, C(d + k, k - 1) if no products collide, and its sums take
-    k^2 (d + 1) parts."""
+    """Whether f**d, for a digit d < p and f of k >= 3 terms, takes no more
+    monomial products by squaring than as ``_small_pow``'s sum. With N(r) the
+    ``_digit_bound`` of f^r, squaring takes N(r)^2 products to square f^r and
+    k N(r) to multiply it by f; the sum takes one per split of d over the k
+    terms, C(d + k - 1, k - 1)."""
     k, v, deg = len(f.terms), f.ctx.nvars, f.total_degree()
     squaring, r = 0, 1
     for bit in bin(d)[3:]:
@@ -147,8 +145,7 @@ def _squares(f: Polynomial, d: int) -> bool:
         if bit == "1":
             squaring += k * _digit_bound(k, v, deg, r)
             r += 1
-    ladder = math.comb(d + k, k - 1) + k * k * (d + 1)
-    return squaring <= min(ladder, k * (d + 1) * _digit_bound(k, v, deg, d))
+    return squaring <= math.comb(d + k - 1, k - 1)
 
 
 class Polynomial:
@@ -249,17 +246,15 @@ class Polynomial:
         )
 
     def _small_pow(self, d: int) -> Polynomial:
-        """f**d for a digit 0 <= d < p, by repeated squaring or by the ladder
-        that adds one term of f at a time, whichever ``_squares`` finds cheaper.
+        """f**d for a digit 0 <= d < p: as one sum by the multinomial theorem,
+        or by repeated squaring where ``_squares`` finds that cheaper.
 
-        The ladder: as d < p, S[r] = g**r / r! exists for the sum g of the
-        terms added so far and every r <= d. Adding t gives S'[r] = sum_a
-        t**a/a! * S[r - a] (the multinomial theorem) = (g + t) * S'[r - 1] / r;
-        each S'[r] uses the one with fewer monomial products, and equal
-        monomials merge. It builds every power r <= d of each partial sum, so
-        squaring, which builds about log d, wins on small d and where products
-        collide. A binomial a x^m1 + b x^m2 takes neither: its d+1 terms are
-        C(d, i) a^i b^(d-i) x^(i m1 + (d-i) m2), units at distinct monomials.
+        As d < p, every multinomial coefficient d!/(a_1!...a_k!) is a unit.
+        The sum splits d over every term but the last two, keeping one entry
+        per (monomial, exponent r left), so that equal splits merge, and
+        finishes each split with the binomial (a x^m1 + b x^m2)**r: its r + 1
+        terms C(r, i) a^i b^(r-i) x^(i m1 + (r-i) m2) are units at distinct
+        monomials. A binomial f is that one split.
         """
         ctx, p = self.ctx, self.ctx.p
         if not 0 <= d < p:
@@ -282,46 +277,37 @@ class Polynomial:
         inv_fact = [0] * d + [pow(fact[d], -1, p)]
         for i in range(d, 0, -1):
             inv_fact[i - 1] = inv_fact[i] * i % p
-        if len(self.terms) == 2:
-            # d < p makes every C(d, i) a unit, so no term vanishes or merges
-            (m1, a), (m2, b) = self.terms.items()
-            shift = tuple(map(sub, m1, m2))
-            mono = tuple([e * d for e in m2])
-            b_pow = list(accumulate(repeat(b, d), lambda x, y: x * y % p, initial=1))
-            out, scale = {}, fact[d]  # d! a^i
-            for i in range(d + 1):
-                out[mono] = scale * inv_fact[i] * inv_fact[d - i] * b_pow[d - i] % p
-                scale = scale * a % p
+        *head, (m1, a), (m2, b) = self.terms.items()
+        # (monomial, r): the sum of d!/(a_1!...a_j! r!) prod c^a over the splits
+        splits = {((0,) * ctx.nvars, d): 1}
+        for m, c in head:
+            nxt = {}
+            for (mono, r), s in splits.items():
+                s = s * fact[r] % p
+                for e in range(r + 1):  # s = the split's sum times r! c^e
+                    key = (mono, r - e)
+                    nxt[key] = (nxt.get(key, 0) + s * inv_fact[e] * inv_fact[r - e]) % p
+                    s = s * c % p
+                    mono = tuple(map(add, mono, m))
+            splits = nxt
+        shift, ratio = tuple(map(sub, m1, m2)), a * pow(b, -1, p) % p
+        out = {}
+        for (mono, r), s in splits.items():
+            s = s * fact[r] * pow(b, r, p) % p
+            mono = tuple([x + e * r for x, e in zip(mono, m2)])
+            for i in range(r + 1):  # s = r! a^i b^(r-i) times the split's sum
+                out[mono] = (out.get(mono, 0) + s * inv_fact[i] * inv_fact[r - i]) % p
+                s = s * ratio % p
                 mono = tuple(map(add, mono, shift))
-            return Polynomial(ctx, out, _canonical=True)
-        terms = list(self.terms.items())
-        rows = []  # rows[j][a] = (a m_j, c_j^a / a!) for the term c_j x^m_j
-        for m, c in terms:
-            row, ca = [], 1
-            for a, inv in enumerate(inv_fact):
-                row.append((tuple([e * a for e in m]), ca * inv % p))
-                ca = ca * c % p
-            rows.append(row)
-        powers = [{m: c} for m, c in rows[0]]
-        for j in range(1, len(terms) - 1):
-            nxt = []  # the multiplication costs j + 1 terms times S'[r - 1]
-            for r, convolution_cost in enumerate(accumulate(map(len, powers))):
-                if not nxt or convolution_cost <= (j + 1) * len(nxt[-1]):
-                    parts = [(m, c, powers[r - a]) for a, (m, c) in enumerate(rows[j][: r + 1])]
-                else:
-                    inv_r = inv_fact[r] * fact[r - 1] % p
-                    parts = [(m, c * inv_r % p, nxt[-1]) for m, c in terms[: j + 1]]
-                nxt.append(_shifted_sum(parts, p))
-            powers = nxt
-        # only the top power of the full sum is needed
-        parts = [(m, c * fact[d] % p, powers[d - a]) for a, (m, c) in enumerate(rows[-1])]
-        return _combine(ctx, parts)
+        if 0 in out.values():  # terms of f^d that cancel mod p
+            out = {m: c for m, c in out.items() if c}
+        return Polynomial(ctx, out, _canonical=True)
 
     def __pow__(self, n: int) -> Polynomial:
         """f**n as the product of (f**d)**(p**i) over the base-p digits d of n.
 
-        Each digit power comes from ``_small_pow``, by squaring or by its
-        ladder, and each p-power factor is a cheap exponent stretch; a power
+        Each digit power comes from ``_small_pow``, as a multinomial sum or by
+        squaring, and each p-power factor is a cheap exponent stretch; a power
         past the term budget is refused before either is built.
         """
         if n < 0:

@@ -394,9 +394,11 @@ def _interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
     The interval pins the first e base-p digits of a jump inside it: those
     of n = r - 1. The candidates are the right endpoint, then each periodic
     extension of the digits with preperiod d and period beta, d + beta <= e,
-    ranked by (d + beta, d, value) at the first (d, beta) giving the value.
-    Closed form: if places d..e-1 have period beta, so does the extension,
-    and as d <= e - beta its places past e repeat the last beta places,
+    ranked by (d + beta, d, value) at the least (d, beta) giving the value.
+    Every beta <= e qualifies at d = e - beta; its least d lies just past the
+    last place that differs from the place beta before it. Closed form: if
+    places d..e-1 have period beta, so does the extension, and as
+    d <= e - beta its places past e repeat the last beta places,
     the number n mod p^beta. The extension is therefore
 
         (n + (n mod p^beta) / (p^beta - 1)) / p^e,
@@ -407,19 +409,16 @@ def _interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
     n, q = r - 1, p**e
     hi = Fraction(r, q)
     digits = [(n // p ** (e - 1 - i)) % p for i in range(e)]
-    seen = {hi}
-    ranked: list[tuple[int, int, Fraction]] = []
-    for d in range(e):
-        for beta in range(1, e - d + 1):
-            if any(digits[i] != digits[i - beta] for i in range(d + beta, e)):
-                continue
-            tail = n % p**beta
-            value = Fraction(n * (p**beta - 1) + tail, q * (p**beta - 1))
-            if tail and value not in seen:
-                seen.add(value)
-                ranked.append((d + beta, d, value))
-    ranked.sort()
-    return [hi] + [value for _, _, value in ranked]
+    first: dict[Fraction, tuple[int, int]] = {}  # value -> (d + beta, d)
+    for beta in range(1, e + 1):
+        tail = n % p**beta
+        if not 0 < tail < p**beta - 1:
+            continue
+        d = max((i - beta + 1 for i in range(beta, e) if digits[i] != digits[i - beta]), default=0)
+        value = Fraction(n * (p**beta - 1) + tail, q * (p**beta - 1))
+        if value not in first or d < first[value][1]:
+            first[value] = (d + beta, d)
+    return [hi] + sorted(first, key=lambda v: (*first[v], v))
 
 
 def _drops(f: Polynomial, e: int, lo: int, hi: int, t_lo: Ideal, t_hi: Ideal) -> list:
@@ -459,7 +458,7 @@ def enumerate_jumps(
     _require_nonzero(f)
     if f.is_constant():
         raise ValueError("units have no jumping coefficients")
-    bound = Fraction(bound)
+    bound = _as_fraction(bound)
     if bound <= 0:
         raise ValueError(f"need a positive bound, got {bound}")
     if depth < 1:

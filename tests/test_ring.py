@@ -175,20 +175,29 @@ class TestDigitPower:
             assert f._small_pow(d) == powers[d], d
 
     def test_small_pow_ladder_collisions(self):
-        # the dense f above are squared at every digit; this one takes the
-        # ladder at d = 7..19, where its products collide so much that some
-        # partial powers come from one multiplication by g + t
+        # the multinomial sum where splits merge and cancel. At p=5,
+        # 1+x+x^2+x^3+x^4 = (x-1)^4, so f^d = (x^5-1)^j (x-1)^(4d-5j) lacks
+        # monomials of degree <= 4d that its splits reach, and its head splits
+        # 1^a x^b (x^2)^c reach one monomial along many (a, b, c)
+        ctx = RingContext(5, ("x",))
+        f = poly(ctx, "1+x+x^2+x^3+x^4")
+        powers = _powers_by_multiplication(poly(ctx, "x-1"), 17)
+        for d in range(2, 5):
+            assert not ring._squares(f, d)
+            assert f._small_pow(d) == powers[4 * d], d
+            assert len(powers[4 * d].terms) < 4 * d + 1
+        # a 4-term f whose products collide: the sum runs up to d = 27
         f = poly(RingContext(31, ("x",)), "1+2x+3x^2+4x^4")
         powers = _powers_by_multiplication(f, 31)
-        ladder = [d for d in range(2, 31) if not ring._squares(f, d)]
-        assert ladder == list(range(7, 20))
-        for d in ladder:
+        sums = [d for d in range(2, 31) if not ring._squares(f, d)]
+        assert sums == list(range(2, 28))
+        for d in sums:
             assert f._small_pow(d) == powers[d], d
 
     @pytest.mark.parametrize("p", [2, 3, 7, 101, 1009])
     def test_binomial_powers(self, p):
         # a two-term f takes its digit powers from the binomial theorem; a
-        # three-term f at the same p still goes term by term. The oracle
+        # three-term f at the same p splits d over its first term. The oracle
         # multiplies by f once per step, which never calls _small_pow, and
         # keeps only the last power: at p=1009 all of them together hold about
         # a million terms
@@ -216,9 +225,11 @@ class TestDigitPower:
 
     @pytest.mark.parametrize("p", [5, 7, 13])
     def test_pow_matches_products(self, p):
-        # 2 to 10 terms, so that both ways of building a digit power run
+        # 2 to 10 terms, and a dense ten-term f that is squared at d = 4, so
+        # that both ways of building a digit power run
         rng = random.Random(700 + p)
         ways = set()
+        fs = []
         for _ in range(10):
             nvars, count = rng.randint(1, 3), rng.randint(2, 10)
             max_exp = next(e for e in range(1, 20) if (e + 1) ** nvars >= 2 * count)
@@ -226,32 +237,40 @@ class TestDigitPower:
             monos = set()
             while len(monos) < count:
                 monos.add(tuple(rng.randint(0, max_exp) for _ in range(nvars)))
-            f = Polynomial(ctx, {m: rng.randint(1, p - 1) for m in monos})
+            fs.append(Polynomial(ctx, {m: rng.randint(1, p - 1) for m in monos}))
+        x = RingContext(p, ("x",))
+        fs.append(Polynomial(x, {(e,): rng.randint(1, p - 1) for e in range(10)}))
+        for f in fs:
             for d, expected in enumerate(_powers_by_multiplication(f, p)):
                 assert f**d == expected, (f, d)
-                if count > 2 and d > 1:
+                if len(f.terms) > 2 and d > 1:
                     ways.add(ring._squares(f, d))
         assert ways == {False, True}
 
     @pytest.mark.parametrize(
         "p,vars,text,d,squares",
         [
-            (5, "xy", "x^3+y^4+x^2y^2", 2, True),
-            (5, "xy", "x^3+y^4+x^2y^2", 4, True),
-            (7, "xy", "2x^3+3y^3+xy", 4, True),
+            (5, "xy", "x^3+y^4+x^2y^2", 2, False),
+            (5, "xy", "x^3+y^4+x^2y^2", 4, False),
+            (7, "xy", "2x^3+3y^3+xy", 4, False),
             (7, "xy", "2x^3+3y^3+xy", 5, False),
             (7, "xy", "2x^3+3y^3+xy", 6, False),
             (7, "xyz", "x^2+y^3+z^5+xyz", 5, False),
             (7, "xyz", "x^2+y^3+z^5+xyz", 6, False),
+            (31, "x", "1+2x+3x^2+4x^4", 19, False),
+            (31, "x", "1+2x+3x^2+4x^4", 28, True),
             (101, "x", "1+2x+3x^2+4x^3+5x^4+6x^5+7x^6+8x^7+9x^8+10x^9", 100, True),
             (211, "xyz", "x^2+y^3+z^5", 105, False),
         ],
     )
     def test_squaring_rule(self, p, vars, text, d, squares):
-        # the faster way on each, timed: squaring 1.2-2.5x faster on the
-        # trinomials up to d = 4 and 5x on the dense f, the ladder 1.25-1.45x
-        # on the trinomial at d = 5 and 6, 1.45-1.7x on the 4-term f and 150x
-        # on the last
+        # timed both ways (best of 9): the sum is 1.5x faster on the
+        # trinomials at d = 4 and 2.2-2.4x at d = 5 and 6, 2.0-2.4x on the
+        # 4-term f at d = 5 and 6 and 300x on the last; squaring is 1.7x
+        # faster on the 4-term univariate f at d = 28 and 30x on the dense f.
+        # The rule picks the slower way at d = 2, where squaring the
+        # trinomials is 1.5x faster, and on 1+2x+3x^2+4x^4 at d = 2..5 and
+        # 7..27, where its products collide: 1.3x slower at d = 19
         f = poly(RingContext(p, tuple(vars)), text)
         assert ring._squares(f, d) is squares
 
