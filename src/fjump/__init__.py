@@ -40,7 +40,6 @@ from .testideals import (
     JumpReport,
     enumerate_jumps,
     is_jumping,
-    nu,
     phi_step,
     tau,
     tau_dyadic,

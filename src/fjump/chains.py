@@ -12,7 +12,7 @@ direction explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -29,7 +29,6 @@ class TotalOrderViolation(RuntimeError):
     """Two stabilized chain values failed to be comparable."""
 
 
-@dataclass
 class ChainTrace:
     """The chain C_1 contains C_2 contains ..., recorded to stabilization.
 
@@ -39,10 +38,8 @@ class ChainTrace:
     is the exponent whose left limit of tau it equals.
     """
 
-    g: Polynomial
-    a: int
-    beta: int
-    terms: list[Ideal]
+    def __init__(self, g: Polynomial, a: int, beta: int, terms: list[Ideal]):
+        self.g, self.a, self.beta, self.terms = g, a, beta, terms
 
     @property
     def stable(self) -> Ideal:
@@ -77,8 +74,13 @@ def chain(g: Polynomial, a: int, beta: int) -> ChainTrace:
     return ChainTrace(g, a, beta, terms)
 
 
-@dataclass(frozen=True)
-class NilComparison:
+class NilComparison(
+    namedtuple(
+        "NilComparison",
+        "gamma_order representative_order direction",
+        defaults=("larger gamma gives smaller representative ideal",),
+    )
+):
     """Ordering report for two classes over the same polynomial.
 
     ``gamma_order`` and ``representative_order`` are each one of
@@ -88,9 +90,7 @@ class NilComparison:
     ``direction``.
     """
 
-    gamma_order: str
-    representative_order: str
-    direction: str = "larger gamma gives smaller representative ideal"
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:

@@ -13,7 +13,7 @@ the canonical one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 # orbit refuses an orbit with more elements than this (it stores every one),
@@ -38,14 +38,10 @@ def multiplicative_order(p: int, n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(namedtuple("CanonicalForm", "a d beta p")):
     """A rational written as a / (p^d (p^beta - 1)) with minimal beta."""
 
-    a: int
-    d: int
-    beta: int
-    p: int
+    __slots__ = ()
 
 
 def canonicalize(c: Fraction, p: int) -> CanonicalForm:
@@ -69,14 +65,10 @@ def canonicalize(c: Fraction, p: int) -> CanonicalForm:
     return CanonicalForm(a, d, beta, p)
 
 
-@dataclass(frozen=True)
-class BasePExpansion:
+class BasePExpansion(namedtuple("BasePExpansion", "p integer_part preperiod period")):
     """Eventually periodic base-p digits: integer_part.preperiod(period)*."""
 
-    p: int
-    integer_part: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
 
 def expand(s: Fraction, p: int) -> BasePExpansion:
@@ -110,16 +102,10 @@ def frac_mod(s: Fraction, m: int) -> Fraction:
     return s - m * (s // m)
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(namedtuple("OrbitReport", "s p m orbit entry_index cycle_length")):
     """Forward orbit of s under t -> p*t mod m, up to the first repeat."""
 
-    s: Fraction
-    p: int
-    m: int
-    orbit: tuple[Fraction, ...]
-    entry_index: int
-    cycle_length: int
+    __slots__ = ()
 
 
 def orbit(s: Fraction, p: int, m: int = 1) -> OrbitReport:

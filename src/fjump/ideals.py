@@ -300,22 +300,6 @@ class Ideal:
         # one monic element is a reduced basis, and h * <1> is <h>
         return self._with_basis((h if gb[0].is_constant() else h * gb[0],))
 
-    def bracket_power(self, q: int) -> Ideal:
-        """The ideal generated by g**q over generators g, for q a power of p.
-
-        Well-defined independently of the generating set. The q-th powers of
-        the reduced Groebner basis are again the reduced Groebner basis
-        (Frobenius powers of an S-pair reduction are an S-pair reduction, by
-        the p-th power additivity), so that is what is stretched.
-        """
-        p = self.ctx.p
-        e = 0
-        while p**e < q:
-            e += 1
-        if p**e != q:
-            raise ValueError(f"{q} is not a power of the characteristic {p}")
-        return self._with_basis(tuple(g.frobenius_stretch(e) for g in self.groebner_basis()))
-
     # -- presentation -------------------------------------------------
 
     def generator_strings(self) -> list[str]:

@@ -48,9 +48,9 @@ them on return, as at large p they have up to p terms each.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .digits import canonicalize
@@ -60,7 +60,6 @@ from .ring import Polynomial
 
 PHI_STEP_BUDGET = 64
 DEFAULT_DEPTH = 4
-NU_EXPONENT_BUDGET = 1 << 20
 
 _step_memo: ContextVar[dict | None] = ContextVar("_step_memo", default=None)
 _query_powers: ContextVar[dict | None] = ContextVar("_query_powers", default=None)
@@ -288,13 +287,10 @@ def tau(f: Polynomial, c: Fraction) -> Ideal:
     return _tau_split(f, c, left=False)
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(namedtuple("Jump", "c tau_left tau_at")):
     """The jump test at c: tau just left of c and at c; a jump when they differ."""
 
-    c: Fraction
-    tau_left: Ideal
-    tau_at: Ideal
+    __slots__ = ()
 
     @property
     def jumping(self) -> bool:
@@ -313,61 +309,6 @@ def is_jumping(f: Polynomial, c: Fraction) -> Jump:
     return Jump(c, left, at)
 
 
-def _pow_normal_form(f: Polynomial, r: int, I: Ideal) -> Polynomial:
-    """Normal form of f^r modulo I, reducing after every multiplication."""
-    result, level = Polynomial.one(f.ctx), 0
-    while r:
-        r, d = divmod(r, f.ctx.p)
-        if d:  # square and multiply, so no factor outgrows the normal forms mod I
-            piece, base = Polynomial.one(f.ctx), I.normal_form(f)
-            while d:
-                if d & 1:
-                    piece = I.normal_form(piece * base)
-                d >>= 1
-                if d:
-                    base = I.normal_form(base * base)
-            result = I.normal_form(result * piece.frobenius_stretch(level))
-        level += 1
-    return result
-
-
-def nu(f: Polynomial, J: Ideal, e: int) -> int:
-    """max{r >= 0 : f^r not in J^[p^e]}, by exponential-then-binary search.
-
-    Finite only when f lies in the radical of J; the exponent budget turns
-    the divergent case into a diagnostic error.
-    """
-    _require_nonzero(f)
-    if e < 1:
-        raise ValueError("need e >= 1")
-    if J.is_unit() or J.is_zero():
-        raise ValueError("need a proper nonzero ideal")
-    q = f.ctx.p**e
-    Jq = J.bracket_power(q)
-
-    def member(r: int) -> bool:
-        return _pow_normal_form(f, r, Jq).is_zero()
-
-    if member(1):
-        return 0
-    lo, hi = 1, 2
-    while not member(hi):
-        lo, hi = hi, hi * 2
-        if hi > NU_EXPONENT_BUDGET:
-            raise BudgetExceededError(
-                f"f^r stayed outside the bracket power up to r={lo}; "
-                "f may not lie in the radical of J"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
-@dataclass
 class JumpReport:
     """All F-jumping coefficients of f in (0, bound], plus leftovers.
 
@@ -376,9 +317,17 @@ class JumpReport:
     list means the jump list is complete on (0, bound].
     """
 
-    bound: Fraction
-    jumps: list[Jump] = field(default_factory=list)
-    unresolved: list[tuple[Fraction, Fraction]] = field(default_factory=list)
+    __slots__ = ("bound", "jumps", "unresolved")
+
+    def __init__(
+        self,
+        bound: Fraction,
+        jumps: list[Jump] | None = None,
+        unresolved: list[tuple[Fraction, Fraction]] | None = None,
+    ):
+        self.bound = bound
+        self.jumps = [] if jumps is None else jumps
+        self.unresolved = [] if unresolved is None else unresolved
 
     @property
     def complete(self) -> bool:

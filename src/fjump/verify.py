@@ -17,8 +17,7 @@ import json
 import random
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import chains, testideals
@@ -45,12 +44,8 @@ def parse_rational(text, name: str = "rational") -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    p: int
-    f_text: str
-    bound: Fraction
-    expect_jumps: tuple[Fraction, ...] | None = None
+class CorpusEntry(namedtuple("CorpusEntry", "p f_text bound expect_jumps", defaults=(None,))):
+    __slots__ = ()
 
     def context(self) -> RingContext:
         return RingContext(self.p, infer_variables(self.f_text) or ["x"])
@@ -59,9 +54,11 @@ class CorpusEntry:
         return parse_poly(self.f_text, self.context())
 
 
-@dataclass
 class Corpus:
-    entries: list[CorpusEntry]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[CorpusEntry]):
+        self.entries = entries
 
 
 DEFAULT_CORPUS_ROWS = [
@@ -137,29 +134,37 @@ def load_corpus(path: str | None = None) -> Corpus:
     return Corpus([_entry_from_row(row, i) for row, i in rows])
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
 
-@dataclass
 class EntryReport:
-    entry: CorpusEntry
-    checks: list[CheckResult] = field(default_factory=list)
-    error: str | None = None
-    seconds: float = 0.0
+    __slots__ = ("entry", "checks", "error", "seconds")
+
+    def __init__(
+        self,
+        entry: CorpusEntry,
+        checks: list[CheckResult] | None = None,
+        error: str | None = None,
+        seconds: float = 0.0,
+    ):
+        self.entry = entry
+        self.checks = [] if checks is None else checks
+        self.error, self.seconds = error, seconds
 
     @property
     def passed(self) -> bool:
         return self.error is None and all(c.passed for c in self.checks)
 
 
-@dataclass
 class VerificationReport:
-    entries: list[EntryReport]
-    seconds: float = 0.0
+    __slots__ = ("entries", "seconds")
+
+    def __init__(self, entries: list[EntryReport], seconds: float = 0.0):
+        self.entries, self.seconds = entries, seconds
 
     @property
     def passed(self) -> bool:
@@ -332,6 +337,9 @@ def run_suite(
         raise ValueError("corpus is empty")
     started = time.monotonic()
     if jobs > 1:
+        # imported here, as loading the pool would add to every command's start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             reports = list(
                 pool.map(lambda e: _check_entry(e, depth, seed), corpus.entries)

@@ -1,10 +1,13 @@
 import io
 import json
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fjump
 from fjump import Ideal, RingContext, chains, parse_poly, testideals, verify
 from fjump.cli import build_parser, main
 
@@ -150,6 +153,22 @@ class TestOneParserPerProcess:
                 main(["--help"])
             assert err.value.code == 0
             assert capsys.readouterr().out == expected
+
+
+class TestColdStart:
+    def test_import_loads_no_record_or_pool_machinery(self):
+        # every command pays for what importing the CLI loads; the thread pool
+        # is imported only by verify --jobs above 1. -S keeps site hooks out.
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import fjump, fjump.cli; "
+            "print(*sorted(m for m in ('dataclasses', 'inspect', 'concurrent.futures') "
+            "if m in sys.modules))"
+        )
+        src = str(Path(fjump.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == []
 
 
 class TestExitCodes:

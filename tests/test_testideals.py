@@ -16,7 +16,6 @@ from fjump import (
     frobenius_root_poly,
     ideals,
     is_jumping,
-    nu,
     phi_step,
     ring,
     tau,
@@ -25,7 +24,9 @@ from fjump import (
     testideals,
 )
 
+import oracles
 from conftest import ideal, law_checks, poly, random_ideal, random_poly
+from oracles import nu
 
 
 def brute_nu(f, J, e):
@@ -316,7 +317,7 @@ class TestNu:
             nu(poly(ctx2, "x"), Ideal(ctx2), 1)
 
     def test_budget_when_not_in_radical(self, ctx2, monkeypatch):
-        monkeypatch.setattr(testideals, "NU_EXPONENT_BUDGET", 64)
+        monkeypatch.setattr(oracles, "NU_EXPONENT_BUDGET", 64)
         with pytest.raises(BudgetExceededError):
             nu(poly(ctx2, "x + 1"), ideal(ctx2, "x"), 1)
 
