@@ -12,6 +12,15 @@ f) is then exactly the ideal generated by the parts g_lam, and the root of
 a general ideal is the sum of the roots of any set of generators. A class
 that holds one term adds just the monomial x^{mu div p^e}, as its
 coefficient is a unit, so a root builds only the minimal such monomials.
+
+For a binomial f = a*x^u + b*x^v, 0 <= d < p and a monomial x^w, term i of
+f^d*x^w is C(d,i)*a^i*b^(d-i)*x^(B + i*S) with B = d*v + w and S = u - v.
+Each coefficient is a unit, and when some coordinate of S is not divisible
+by p no two terms share a class, as 0 < |i - j| <= d < p. The root of
+f^d*x^w is then generated by the outer monomials (B + i*S) div p, which rise
+with i where S is positive and fall elsewhere; only i = d and each i whose
+successor steps a rising coordinate up can be minimal, at most deg f + 1 of
+them whatever p is.
 """
 
 from __future__ import annotations
@@ -44,6 +53,22 @@ def _split(f: Polynomial, e: int, h: Polynomial | None = None) -> dict[Monomial,
             outer = tuple([x // q for x in mono])
             split.setdefault(lam, {})[outer] = c
     return split
+
+
+def binomial_root_monomials(u: Monomial, v: Monomial, d: int, p: int, ws) -> list[Monomial]:
+    """Outer monomials whose minimal ones generate I_1(f^d * <x^w : w in ws>)
+    for f = a*x^u + b*x^v, 0 <= d < p and u - v not 0 mod p, from exponents."""
+    s = [a - b for a, b in zip(u, v)]
+    outers = []
+    for w in ws:
+        base = [d * b + c for b, c in zip(v, w)]
+        last = {d}
+        for b, k in zip(base, s):
+            if k > 0:
+                # term i + 1 is the first to reach m*p at i + 1 = ceil((m*p - b) / k)
+                last.update(-((b - m * p) // k) - 1 for m in range(b // p + 1, (b + d * k) // p + 1))
+        outers += [tuple([(b + i * k) // p for b, k in zip(base, s)]) for i in last]
+    return outers
 
 
 def frobenius_decompose(f: Polynomial, e: int) -> dict[Monomial, Polynomial]:

@@ -220,7 +220,7 @@ class Ideal:
     different generating sets hash equal.
     """
 
-    __slots__ = ("ctx", "generators", "_gb", "_hash")
+    __slots__ = ("ctx", "generators", "_gb", "_hash", "_strings")
 
     def __init__(self, ctx: RingContext, generators=()):
         gens = tuple(generators)
@@ -231,6 +231,7 @@ class Ideal:
         self.generators = gens
         self._gb: tuple[Polynomial, ...] | None = None
         self._hash: int | None = None
+        self._strings: tuple[str, ...] | None = None
 
     @classmethod
     @functools.cache
@@ -303,8 +304,10 @@ class Ideal:
     # -- presentation -------------------------------------------------
 
     def generator_strings(self) -> list[str]:
-        """Sorted formatted strings of the reduced Groebner basis."""
-        return sorted(format_poly(g) for g in self.groebner_basis())
+        """Sorted formatted strings of the reduced Groebner basis, formatted once."""
+        if self._strings is None:
+            self._strings = tuple(sorted(format_poly(g) for g in self.groebner_basis()))
+        return list(self._strings)
 
     def __repr__(self):
         return f"Ideal<{', '.join(self.generator_strings()) or '0'}>"

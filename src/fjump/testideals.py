@@ -29,6 +29,10 @@ I_{s beta}(f^(a' psi_s)) descend to the common value of tau just below g.
 Phi is monotone and deterministic, so two equal consecutive iterates make
 the chain stationary forever: the fixed point is a rigorous stopping rule.
 
+Most states are all-monomial. A binomial's digit step on one, when the two
+exponents of f differ mod p, is read off the exponents alone by
+``binomial_root_monomials``: no power of f, no product and no split.
+
 f has few distinct test ideals, so digit steps and Skoda shifts repeat.
 Inside a ``shared_roots()`` block, which ``enumerate_jumps`` and each
 ``verify`` entry open, each f has a digit table: the ideals its roots meet
@@ -54,8 +58,8 @@ from contextvars import ContextVar
 from fractions import Fraction
 
 from .digits import canonicalize
-from .frobenius import frobenius_root_ideal
-from .ideals import BudgetExceededError, Ideal
+from .frobenius import binomial_root_monomials, frobenius_root_ideal
+from .ideals import BudgetExceededError, Ideal, minimal_monomials
 from .ring import Polynomial
 
 PHI_STEP_BUDGET = 64
@@ -159,6 +163,16 @@ def _power(f: Polynomial, n: int) -> Polynomial:
 
 def _digit_step(f: Polynomial, d: int, J: Ideal) -> Ideal:
     """I_1(f^d * J); ``_DigitTable.state`` gives it its basis as generators."""
+    ctx = f.ctx
+    if len(f.terms) == 2 and all(len(g.terms) == 1 for g in J.generators):
+        u, v = f.terms
+        if any((a - b) % ctx.p for a, b in zip(u, v)):
+            ws = [m for g in J.generators for m in g.terms]
+            outers = binomial_root_monomials(u, v, d, ctx.p, ws)
+            if not all(map(any, outers)):
+                return Ideal.unit(ctx)
+            gb = tuple(Polynomial(ctx, {m: 1}, _canonical=True) for m in minimal_monomials(outers))
+            return Ideal(ctx)._with_basis(gb)
     return frobenius_root_ideal(J, 1, _power(f, d) if d else None)
 
 

@@ -474,3 +474,13 @@ def test_order_axioms_random():
 
 def test_generator_strings_sorted(ctx2):
     assert ideal(ctx2, "y", "x").generator_strings() == ["x", "y"]
+
+
+def test_generator_strings_formatted_once(ctx2, monkeypatch):
+    I = ideal(ctx2, "y", "x")
+    first = I.generator_strings()
+    first.append("z")
+    monkeypatch.setattr(ideals, "format_poly", None)
+    # a fresh list each call, from strings formatted on the first
+    assert I.generator_strings() == ["x", "y"]
+    assert I.generator_strings() is not I.generator_strings()

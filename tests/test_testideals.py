@@ -459,6 +459,14 @@ class TestScan:
             assert report.complete, p
             assert report.coefficients() == [expected, Fraction(1)], p
 
+    @pytest.mark.parametrize("p", [65519, 65521])
+    def test_cusp_fpt_closed_form_at_large_primes(self, p):
+        # the largest primes below 2^16, one on each side of p mod 6
+        report = enumerate_jumps(poly(RingContext(p, ("x", "y")), "x^2+y^3"), Fraction(1))
+        expected = Fraction(5, 6) if p % 6 == 1 else Fraction(5 * p - 1, 6 * p)
+        assert report.complete
+        assert report.coefficients() == [expected, Fraction(1)]
+
     @pytest.mark.parametrize(
         "a,b,p",
         [
@@ -467,6 +475,12 @@ class TestScan:
             for b in range(a, 8)
             for p in range(2, 50)
             if all(p % k for k in range(2, p)) and p % math.lcm(a, b) == 1
+        ]
+        # and at the least such prime above 1000
+        + [
+            (a, b, next(p for p in range(1001, 2000) if p % math.lcm(a, b) == 1 and all(p % k for k in range(2, p))))
+            for a in range(2, 8)
+            for b in range(a, 8)
         ],
     )
     def test_diagonal_fpt_closed_form(self, a, b, p):
@@ -644,6 +658,69 @@ class TestRightConstancy:
                 assert tau(f, c) == value
 
 
+def _binomial_and_state(rng, p, congruent=False):
+    """A random binomial a*x^u + b*x^v in 1-3 variables and a monomial ideal
+    of 1-3 generators, some past p; u = v mod p with ``congruent``, and
+    otherwise not."""
+    ctx = RingContext(p, ("x", "y", "z")[: rng.randint(1, 3)])
+    n = ctx.nvars
+    v = tuple(rng.randint(0, 6) for _ in range(n))
+    while True:
+        if congruent:
+            u = tuple(x + p * rng.randint(0, 2) for x in v)
+        else:
+            u = tuple(rng.randint(0, 6) for _ in range(n))
+        if u != v and congruent != any((a - b) % p for a, b in zip(u, v)):
+            break
+    f = Polynomial(ctx, {u: rng.randint(1, p - 1), v: rng.randint(1, p - 1)})
+    top = rng.choice([3, 3 * p])
+    gens = [Polynomial(ctx, {tuple(rng.randint(0, top) for _ in range(n)): 1}) for _ in range(rng.randint(1, 3))]
+    return f, Ideal(ctx, gens)
+
+
+class TestBinomialStep:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 1009])
+    def test_matches_the_general_root(self, p):
+        rng = random.Random(600 + p)
+        for _ in range(12):
+            f, J = _binomial_and_state(rng, p)
+            digits = range(p) if p < 100 else rng.sample(range(p), 12)
+            for d in digits:
+                root = testideals._digit_step(f, d, J)
+                assert root == frobenius_root_ideal(J, 1, f**d), (f, d, J)
+                # the minimal monomials are the reduced basis
+                assert root.generators == root.groebner_basis()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_congruent_exponents_take_the_general_path(self, monkeypatch, p):
+        rng = random.Random(700 + p)
+        general = []
+        real = testideals.frobenius_root_ideal
+
+        def counted(I, e, h=None):
+            general.append(h)
+            return real(I, e, h)
+
+        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
+        for _ in range(8):
+            f, J = _binomial_and_state(rng, p, congruent=True)
+            for d in range(p):
+                general.clear()
+                assert testideals._digit_step(f, d, J) == real(J, 1, f**d), (f, d, J)
+                assert len(general) == 1
+
+    def test_monomial_step_builds_no_power(self, monkeypatch):
+        ctx = RingContext(5, ("x", "y"))
+        f, J = poly(ctx, "x^2+y^3"), ideal(ctx, "x^3", "x*y^2")
+        expected = [frobenius_root_ideal(J, 1, f**d) for d in range(5)]
+
+        def refused(g, d):
+            raise AssertionError(f"built {g}^{d}")
+
+        monkeypatch.setattr(Polynomial, "_small_pow", refused)
+        assert [testideals._digit_step(f, d, J) for d in range(5)] == expected
+
+
 class TestSharedRoots:
     def test_answers_match_unshared(self):
         # two polynomials of one ring interleaved in one block, each call
@@ -750,13 +827,13 @@ class TestSharedRoots:
 
     def test_enumerations_share_nothing(self, ctx3, monkeypatch):
         calls = []
-        real = testideals.frobenius_root_ideal
+        real = testideals._digit_step
 
-        def counted(I, e, h=None):
-            calls.append(e)
-            return real(I, e, h)
+        def counted(f, d, J):
+            calls.append(d)
+            return real(f, d, J)
 
-        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
+        monkeypatch.setattr(testideals, "_digit_step", counted)
         f = poly(ctx3, "x^2+y^3")
         counts = []
         for _ in range(2):
@@ -776,24 +853,32 @@ class TestSharedRoots:
         [(5, "x^2+y^3", Fraction(19, 24)), (5, "x^3+y^4+x^2*y^2", Fraction(3, 4))],
     )
     def test_query_builds_each_digit_power_once(self, monkeypatch, p, text, c):
-        built, used = {}, []
-        real_pow, real_root = Polynomial._small_pow, testideals.frobenius_root_ideal
+        built, steps = {}, []
+        real_pow, real_step = Polynomial._small_pow, testideals._digit_step
 
         def counted_pow(g, d):
             built[g, d] = built.get((g, d), 0) + 1
             return real_pow(g, d)
 
-        def counted_root(I, e, h=None):
-            used.append(h)
-            return real_root(I, e, h)
+        def counted_step(f, d, J):
+            before = sum(built.values())
+            root = real_step(f, d, J)
+            monomial = all(len(g.terms) == 1 for g in J.generators)
+            steps.append((d, monomial, sum(built.values()) - before))
+            return root
 
         monkeypatch.setattr(Polynomial, "_small_pow", counted_pow)
-        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted_root)
+        monkeypatch.setattr(testideals, "_digit_step", counted_step)
         f = poly(RingContext(p, ("x", "y")), text)
         tau(f, c)
         assert built and max(built.values()) == 1
-        # the Phi iterates take some digit step more than once
-        assert len([h for h in used if h is not None]) > len(built)
+        if len(f.terms) == 2:
+            # a binomial's steps on monomial states come from exponents alone
+            assert any(d for d, monomial, _ in steps if monomial)
+            assert not any(pows for _, monomial, pows in steps if monomial)
+        else:
+            # the Phi iterates take some digit step more than once
+            assert len([d for d, _, _ in steps if d]) > len(built)
         assert testideals._step_memo.get() is None
         assert testideals._query_powers.get() is None
 
