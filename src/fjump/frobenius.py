@@ -20,13 +20,26 @@ by p no two terms share a class, as 0 < |i - j| <= d < p. The root of
 f^d*x^w is then generated by the outer monomials (B + i*S) div p, which rise
 with i where S is positive and fall elsewhere; only i = d and each i whose
 successor steps a rising coordinate up can be minimal, at most deg f + 1 of
-them whatever p is.
+them whatever p is. At d = 0, and for a one-term f (u = v, any d), the one
+outer monomial is (d*u + w) div p.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+
 from .ideals import Ideal, minimal_monomials
 from .ring import Monomial, Polynomial, _accumulate
+
+_query_powers: ContextVar[dict | None] = ContextVar("_query_powers", default=None)
+
+
+def _power(f: Polynomial, n: int) -> Polynomial:
+    """f**n, built once while a query's power store is open."""
+    powers = _query_powers.get()
+    if powers is None:
+        return f**n
+    return powers.get((f, n)) or powers.setdefault((f, n), f**n)
 
 
 def _split(f: Polynomial, e: int, h: Polynomial | None = None) -> dict[Monomial, dict]:
@@ -81,30 +94,42 @@ def frobenius_root_poly(f: Polynomial, e: int) -> Ideal:
     return Ideal(f.ctx, tuple(frobenius_decompose(f, e).values()))
 
 
-def frobenius_root_ideal(I: Ideal, e: int, h: Polynomial | None = None) -> Ideal:
-    """The minimal ideal J with J^{[p^e]} containing I, or h*I given h.
+def frobenius_root_ideal(I: Ideal, e: int, h: Polynomial | None = None, d: int = 1) -> Ideal:
+    """The minimal ideal J with J^{[p^e]} containing I, or h^d*I given h.
 
     Generated by the decomposition parts of any generating set; the result
     does not depend on the choice (the generator-independence property is
-    exercised by the test suite), and the parts of h*I are those of h*g. A
-    part of one term is a unit times a monomial: only the minimal ones become
-    generators, which alone, in grevlex order, are the reduced basis, and a
-    constant part makes the root <1> at once.
+    exercised by the test suite), and the parts of h^d*I are those of h^d*g.
+    A part of one term is a unit times a monomial: only the minimal ones
+    become generators, which alone, in grevlex order, are the reduced basis,
+    and a constant part makes the root <1> at once. At e = 1, the root of
+    monomials times h^d comes from exponents alone when h has one term, d is
+    0, or h is a binomial with d < p whose exponents differ mod p.
     """
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
-    ctx = I.ctx
+    ctx, p = I.ctx, I.ctx.p
+    if h is None or not d:
+        h, d = None, 0
+    ends = [(0,) * ctx.nvars] if h is None else list(h.terms)
     monomials: set[Monomial] = set()
     parts: list[Polynomial] = []
-    for g in I.generators:
-        for terms in _split(g, e, h).values():
-            if len(terms) > 1:
-                parts.append(Polynomial(ctx, terms, _canonical=True))
-                continue
-            (outer,) = terms
-            if not any(outer):
-                return Ideal.unit(ctx)
-            monomials.add(outer)
+    binomial = len(ends) == 2 and d < p and any((a - b) % p for a, b in zip(*ends))
+    if e == 1 and (len(ends) == 1 or binomial) and all(len(g.terms) == 1 for g in I.generators):
+        monomials.update(binomial_root_monomials(ends[0], ends[-1], d, p, [m for g in I.generators for m in g.terms]))
+        if not all(map(any, monomials)):
+            return Ideal.unit(ctx)
+    else:
+        h = _power(h, d) if d > 1 else h
+        for g in I.generators:
+            for terms in _split(g, e, h).values():
+                if len(terms) > 1:
+                    parts.append(Polynomial(ctx, terms, _canonical=True))
+                    continue
+                (outer,) = terms
+                if not any(outer):
+                    return Ideal.unit(ctx)
+                monomials.add(outer)
     gens = [Polynomial(ctx, {m: 1}, _canonical=True) for m in minimal_monomials(monomials)]
     root = Ideal(ctx, tuple(gens + parts))
     return root if parts else root._with_basis(root.generators)

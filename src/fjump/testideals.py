@@ -29,9 +29,15 @@ I_{s beta}(f^(a' psi_s)) descend to the common value of tau just below g.
 Phi is monotone and deterministic, so two equal consecutive iterates make
 the chain stationary forever: the fixed point is a rigorous stopping rule.
 
-Most states are all-monomial. A binomial's digit step on one, when the two
-exponents of f differ mod p, is read off the exponents alone by
-``binomial_root_monomials``: no power of f, no product and no split.
+Most states are all-monomial. A digit step on one is read off the
+exponents alone when f is a monomial, when d = 0, or when f is a binomial
+whose two exponents differ mod p: no power of f, no product and no split.
+
+Many states are Skoda shifts f^n * K, as the seed <f> = f * <1> and each
+f^n * J the table builds, and take K's steps: by the skew identity
+I_1(f^(d+n) * K) = f^q * I_1(f^r * K) with q, r = divmod(d + n, p). So the
+seed's step at d is the unit state's at d + 1. No state is recorded as a
+shift of itself, which a constant f or the zero ideal would make.
 
 f has few distinct test ideals, so digit steps and Skoda shifts repeat.
 Inside a ``shared_roots()`` block, which ``enumerate_jumps`` and each
@@ -58,15 +64,14 @@ from contextvars import ContextVar
 from fractions import Fraction
 
 from .digits import canonicalize
-from .frobenius import binomial_root_monomials, frobenius_root_ideal
-from .ideals import BudgetExceededError, Ideal, minimal_monomials
+from .frobenius import _power, _query_powers, frobenius_root_ideal
+from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
 
 PHI_STEP_BUDGET = 64
 DEFAULT_DEPTH = 4
 
 _step_memo: ContextVar[dict | None] = ContextVar("_step_memo", default=None)
-_query_powers: ContextVar[dict | None] = ContextVar("_query_powers", default=None)
 
 
 def _require_nonzero(f: Polynomial):
@@ -94,21 +99,23 @@ class _DigitTable:
 
     ``states[i]`` is the i-th ideal met, carrying its reduced basis as its
     generators, and ``index`` numbers it by value. ``delta[i][d]`` is the
-    state of I_1(f^d * states[i]) and ``shifts[n, i]`` that of
-    f^n * states[i]. Three memos keep what walks on these numbers found:
+    state of I_1(f^d * states[i]), ``shifts[n, i]`` that of f^n * states[i],
+    and ``carry[j] = (n, k)`` says states[j] = f^n * states[k], so j's digit
+    steps come from k's. Three memos keep what walks found:
     ``fixed[a, beta, i]`` is the Phi trace from state i as a tuple of
     states, ending with the repeated one; ``values[num, den, left]`` is the
     state of tau(f^(num/den)), or of its left limit; and ``below[i, j]``
     says whether states[i] contains states[j].
     """
 
-    __slots__ = ("states", "index", "delta", "shifts", "fixed", "values", "below", "_seed")
+    __slots__ = ("states", "index", "delta", "shifts", "carry", "fixed", "values", "below", "_seed")
 
     def __init__(self):
         self.states: list[Ideal] = []
         self.index: dict[Ideal, int] = {}
         self.delta: list[dict[int, int]] = []
         self.shifts: dict[tuple[int, int], int] = {}
+        self.carry: dict[int, tuple[int, int]] = {}
         self.fixed: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self.values: dict[tuple[int, int, bool], int] = {}
         self.below: dict[tuple[int, int], bool] = {}
@@ -127,9 +134,12 @@ class _DigitTable:
         return i
 
     def seed(self, f: Polynomial) -> Ideal:
-        """<f>, its generator made monic, interned once."""
+        """<f>, its generator made monic, interned once as the shift f * <1>."""
         if self._seed is None:
-            self._seed = self.states[self.state(Ideal(f.ctx, (f,)))]
+            unit, j = self.state(Ideal.unit(f.ctx)), self.state(Ideal(f.ctx, (f,)))
+            if j != unit:  # a constant f has <f> = <1>
+                self.carry[j] = (1, unit)
+            self._seed = self.states[j]
         return self._seed
 
 
@@ -153,33 +163,43 @@ def _contains(f: Polynomial, I: Ideal, J: Ideal) -> bool:
     return known
 
 
-def _power(f: Polynomial, n: int) -> Polynomial:
-    """f**n, built once per tau or left-limit query."""
-    powers = _query_powers.get()
-    if powers is None:
-        return f**n
-    return powers.get((f, n)) or powers.setdefault((f, n), f**n)
-
-
 def _digit_step(f: Polynomial, d: int, J: Ideal) -> Ideal:
     """I_1(f^d * J); ``_DigitTable.state`` gives it its basis as generators."""
-    ctx = f.ctx
-    if len(f.terms) == 2 and all(len(g.terms) == 1 for g in J.generators):
-        u, v = f.terms
-        if any((a - b) % ctx.p for a, b in zip(u, v)):
-            ws = [m for g in J.generators for m in g.terms]
-            outers = binomial_root_monomials(u, v, d, ctx.p, ws)
-            if not all(map(any, outers)):
-                return Ideal.unit(ctx)
-            gb = tuple(Polynomial(ctx, {m: 1}, _canonical=True) for m in minimal_monomials(outers))
-            return Ideal(ctx)._with_basis(gb)
-    return frobenius_root_ideal(J, 1, _power(f, d) if d else None)
+    return frobenius_root_ideal(J, 1, f, d)
+
+
+def _shift(table: _DigitTable, f: Polynomial, n: int, i: int) -> int:
+    """The state of f^n * states[i], carried from what states[i] is a shift of."""
+    j = table.shifts.get((n, i))
+    if j is None:
+        j = table.shifts[n, i] = table.state(table.states[i].scale(_power(f, n)))
+        m, k = table.carry.get(i, (0, i))
+        if j != k:  # a constant f or the zero ideal shifts a state onto itself
+            table.carry.setdefault(j, (n + m, k))
+    return j
+
+
+def _step(table: _DigitTable, f: Polynomial, d: int, i: int) -> int:
+    """The state of I_1(f^d * states[i]); a carried f^n * K takes K's step."""
+    j = table.delta[i].get(d)
+    if j is None:
+        carried = table.carry.get(i)
+        if carried is None:
+            j = table.state(_digit_step(f, d, table.states[i]))
+        else:
+            n, k = carried
+            q, r = divmod(d + n, f.ctx.p)
+            j = _step(table, f, r, k)
+            if q:
+                j = _shift(table, f, q, j)
+        table.delta[i][d] = j
+    return j
 
 
 def _walk(table: _DigitTable, f: Polynomial, n: int, e: int, i: int) -> int:
     """The state of I_e(f^n * states[i]); never expands f^n for n >= p^e."""
     p = f.ctx.p
-    states, delta = table.states, table.delta
+    delta = table.delta
     while e:
         # digits come off a word of at most 64 of them: dividing all of n
         # once per digit would take time quadratic in e
@@ -190,19 +210,14 @@ def _walk(table: _DigitTable, f: Polynomial, n: int, e: int, i: int) -> int:
             word, d = divmod(word, p)
             j = delta[i].get(d)
             if j is None:
-                j = delta[i][d] = table.state(_digit_step(f, d, states[i]))
+                j = _step(table, f, d, i)
             # with only 0 digits left each step is J -> I_1(J), which contains J
             # (each element lies in the ideal of its Frobenius parts): J grows
             # until the first step that returns it, and stays from then on
             if j == i and not (d or word or n):
                 return i
             i = j
-    if n:
-        j = table.shifts.get((n, i))
-        if j is None:
-            j = table.shifts[n, i] = table.state(states[i].scale(_power(f, n)))
-        i = j
-    return i
+    return _shift(table, f, n, i) if n else i
 
 
 def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:

@@ -12,6 +12,7 @@ from fjump import (
     chains,
     parse_poly,
     enumerate_jumps,
+    frobenius,
     frobenius_root_ideal,
     frobenius_root_poly,
     ideals,
@@ -467,6 +468,18 @@ class TestScan:
         assert report.complete
         assert report.coefficients() == [expected, Fraction(1)]
 
+    def test_large_prime_jumps_repeat_past_one(self):
+        # Skoda: the jumps in (1, 2] are those in (0, 1] plus 1; at p = 65521
+        # the steps on <f> and on shifted states are carried from the unit
+        # state's, which the binomial reads off its exponents
+        f = poly(RingContext(65521, ("x", "y")), "x^5+y^7")
+        report = enumerate_jumps(f, Fraction(2))
+        assert report.complete
+        jumps = report.coefficients()
+        low = [c for c in jumps if c <= 1]
+        assert low[0] == Fraction(12, 35)
+        assert [c for c in jumps if c > 1] == [c + 1 for c in low]
+
     @pytest.mark.parametrize(
         "a,b,p",
         [
@@ -694,20 +707,29 @@ class TestBinomialStep:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_congruent_exponents_take_the_general_path(self, monkeypatch, p):
         rng = random.Random(700 + p)
-        general = []
-        real = testideals.frobenius_root_ideal
+        general, splits = [], []
+        real, real_split = testideals.frobenius_root_ideal, frobenius._split
 
-        def counted(I, e, h=None):
+        def counted(I, e, h=None, d=1):
             general.append(h)
-            return real(I, e, h)
+            return real(I, e, h, d)
+
+        def counted_split(g, e, h=None):
+            splits.append(h)
+            return real_split(g, e, h)
 
         monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
+        monkeypatch.setattr(frobenius, "_split", counted_split)
         for _ in range(8):
             f, J = _binomial_and_state(rng, p, congruent=True)
             for d in range(p):
+                expected = real(J, 1, f**d)
                 general.clear()
-                assert testideals._digit_step(f, d, J) == real(J, 1, f**d), (f, d, J)
+                splits.clear()
+                assert testideals._digit_step(f, d, J) == expected, (f, d, J)
                 assert len(general) == 1
+                # d = 0 is read off the exponents; every other d splits f^d * J
+                assert bool(splits) == bool(d)
 
     def test_monomial_step_builds_no_power(self, monkeypatch):
         ctx = RingContext(5, ("x", "y"))
@@ -719,6 +741,53 @@ class TestBinomialStep:
 
         monkeypatch.setattr(Polynomial, "_small_pow", refused)
         assert [testideals._digit_step(f, d, J) for d in range(5)] == expected
+
+
+class TestCarriedSteps:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_carried_step_matches_the_general_root(self, p):
+        # states[j] = f^n * K is carried: its step at d is K's step at
+        # (d + n) mod p, shifted by f^((d + n) div p)
+        rng = random.Random(900 + p)
+        ctx = RingContext(p, ("x", "y"))
+        for terms in (1, 2, 3, 4):
+            f = random_poly(rng, ctx, max_terms=terms, max_exp=2)
+            while len(f.terms) != terms or f.is_constant():
+                f = random_poly(rng, ctx, max_terms=terms, max_exp=2)
+            monomial = Ideal(ctx, [poly(ctx, f"x^{rng.randint(0, 2 * p)}*y^{rng.randint(0, 3)}"), poly(ctx, "y^2")])
+            cases = [(K, n) for K in (monomial, random_ideal(rng, ctx, max_gens=2, max_exp=2))
+                     for n in (rng.randint(1, p), rng.randint(p + 1, 2 * p))]
+            for K, n in cases:
+                table = testideals._DigitTable()
+                k = table.state(K)
+                j = testideals._shift(table, f, n, k)
+                assert table.carry[j] == (n, k)
+                for d in range(p):
+                    step = table.states[testideals._step(table, f, d, j)]
+                    assert step == frobenius_root_ideal(table.states[j], 1, f**d), (f, n, d, K)
+                # a shift of a shift is recorded flat, against K
+                m = rng.randint(1, p)
+                assert table.carry[testideals._shift(table, f, m, j)] == (n + m, k)
+
+    def test_seed_is_carried_from_the_unit_state(self, ctx5):
+        f = poly(ctx5, "x^2+y^3")
+        table = testideals._DigitTable()
+        seed = table.state(table.seed(f))
+        assert table.carry[seed] == (1, table.state(Ideal.unit(ctx5)))
+        # at d = p - 1 the step is <f> itself: I_1(f^p) = f * I_1(<1>)
+        assert testideals._step(table, f, 4, seed) == seed
+
+    @pytest.mark.parametrize("text", ["3", "1"])
+    def test_constant_f_is_never_its_own_shift(self, ctx5, text):
+        # <f> = <1> for a unit f, so no state may be carried from itself
+        f = poly(ctx5, text)
+        one = Ideal.unit(ctx5)
+        for c in (Fraction(1, 2), Fraction(5, 6), Fraction(7, 4), Fraction(3)):
+            assert tau(f, c) == one
+            assert tau_left_limit(f, c) == one
+        with testideals.shared_roots():
+            assert all(tau(f, c) == tau_left_limit(f, c) == one for c in (Fraction(2, 3), Fraction(9, 4)))
+            assert not testideals._table(f).carry
 
 
 class TestSharedRoots:
@@ -800,9 +869,9 @@ class TestSharedRoots:
         calls = []
         real = testideals.frobenius_root_ideal
 
-        def counted(I, e, h=None):
+        def counted(I, e, h=None, d=1):
             calls.append(e)
-            return real(I, e, h)
+            return real(I, e, h, d)
 
         monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
         queries = [(tau, Fraction(5, 6)), (tau_left_limit, Fraction(5, 6)), (tau, Fraction(7, 4))]
