@@ -9,12 +9,11 @@ LT(h*g) = LT(h)*LT(g), h*J has the basis h*G (G the reduced basis of J,
 h monic) once the tails are reduced: <1> and every h*J skip Buchberger.
 Most inputs are all-monomial, and their reduced basis is just the minimal
 monomial generators, so those are found first and the other generators
-are reduced by them. What remains is brought to reduced row echelon form
-over F_p, its columns the monomials in descending grevlex order, which
-drops the repeated and scaled parts a Frobenius root hands over (the
-linear first step of Faugere's F4). Buchberger's algorithm runs only on
-those rows, with the Gebauer-Moeller pair updates and the normal
-selection strategy, which keeps runs deterministic.
+are reduced by them. Of what remains, each scalar multiple of an earlier
+generator is dropped, and Buchberger's algorithm runs on the rest, with
+the Gebauer-Moeller pair updates and the normal selection strategy, which
+keeps runs deterministic. Its first sweep reduces each generator by the
+basis built so far, which takes care of the remaining linear dependences.
 """
 
 from __future__ import annotations
@@ -106,29 +105,6 @@ def _reduce_tails(minimal: list[Polynomial]) -> tuple[Polynomial, ...]:
     return tuple(reduced)
 
 
-def _interreduce(polys: list[Polynomial]) -> list[Polynomial]:
-    """The reduced row echelon form of ``polys`` over F_p, its columns the
-    monomials in descending grevlex order: monic rows, each leading monomial
-    in no other row. Repeated and scaled inputs drop out."""
-    ctx = polys[0].ctx
-    zero = (0,) * ctx.nvars
-    rows: dict[Monomial, Polynomial] = {}
-    for g in polys:
-        # no pivot row holds another pivot, so all of them come off at once
-        parts = [(zero, -c, rows[m].terms) for m, c in g.terms.items() if m in rows]
-        if parts:
-            g = _combine(ctx, [(zero, 1, g.terms), *parts])
-            if g.is_zero():
-                continue
-        g = _monic(g)
-        lead = g.leading_monomial()
-        for m, other in rows.items():
-            if c := other.terms.get(lead):
-                rows[m] = _combine(ctx, [(zero, 1, other.terms), (zero, -c, g.terms)])
-        rows[lead] = g
-    return list(rows.values())
-
-
 def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial of two monic polynomials."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
@@ -165,7 +141,8 @@ def _gm_update(lts: list[Monomial], active: list[int], pairs: list, h: int):
 def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of <generators> under grevlex.
 
-    BUCHBERGER_PAIR_BUDGET bounds the number of S-pairs taken from the queue.
+    Scalar multiples of earlier multi-term generators are dropped before
+    Buchberger runs; BUCHBERGER_PAIR_BUDGET bounds the S-pairs it takes.
     """
     gens = [g for g in generators if not g.is_zero()]
     if len(gens) == 1:  # one polynomial is the reduced basis of its ideal
@@ -173,12 +150,12 @@ def reduced_groebner(generators, ctx: RingContext) -> tuple[Polynomial, ...]:
     # minimal monomial generators (a constant included)
     lts = minimal_monomials({m for g in gens if len(g.terms) == 1 for m in g.terms})
     basis = [Polynomial(ctx, {m: 1}, _canonical=True) for m in lts]
-    todo = [normal_form(g, basis) for g in gens if len(g.terms) > 1]
-    todo = [g for g in todo if not g.is_zero()]
+    # the others reduced by them, with no zero and no scalar duplicate
+    todo = (normal_form(g, basis) for g in gens if len(g.terms) > 1)
+    todo = list(dict.fromkeys(_monic(g) for g in todo if not g.is_zero()))
     if not todo:
         return tuple(basis)
-    # interreduced, in a deterministic seed order
-    todo = _interreduce(todo)
+    # in a deterministic seed order
     todo.sort(key=lambda g: sorted(map(grevlex_key, g.terms), reverse=True))
 
     active: list[int] = []

@@ -210,6 +210,38 @@ class TestRootLikeInputs:
                     for a, b in itertools.combinations(gb, 2):
                         assert normal_form(ideals._s_poly(a, b), gb).is_zero(), (a, b)
 
+    def test_linear_combinations(self):
+        # part_i + u*part_j and three-part sums are linearly dependent on the
+        # parts without being scalar multiples of any: Buchberger reduces them
+        rng = random.Random(58)
+        for p in (2, 3, 5, 7):
+            for nvars in (2, 3):
+                ctx = RingContext(p, ("x", "y", "z")[:nvars])
+                one = (0,) * nvars
+
+                def times_unit(h):
+                    return h.scale_term(one, rng.randint(1, p - 1))
+
+                for _ in range(6):
+                    f = random_poly(rng, ctx, max_terms=4, max_exp=2)
+                    g = random_poly(rng, ctx, max_terms=3, max_exp=3)
+                    parts = list(frobenius_decompose(f ** rng.randint(p, 3 * p) * g, 1).values())
+                    pairs = list(itertools.permutations(parts, 2))
+                    triples = list(itertools.combinations(parts, 3))
+                    gens = self.draws(rng, parts, p)
+                    gens += [a + times_unit(b) for a, b in rng.sample(pairs, min(len(pairs), 4))]
+                    gens += [
+                        times_unit(a) + times_unit(b) + times_unit(c)
+                        for a, b, c in rng.sample(triples, min(len(triples), 3))
+                    ]
+                    rng.shuffle(gens)
+                    gb = reduced_groebner(gens, ctx)
+                    # every part is drawn at least once, so gens and parts span one ideal
+                    assert gb == _textbook_groebner(parts, ctx)
+                    assert all(normal_form(h, gb).is_zero() for h in gens)
+                    for a, b in itertools.combinations(gb, 2):
+                        assert normal_form(ideals._s_poly(a, b), gb).is_zero(), (a, b)
+
 
 class TestCarriedBasis:
     """Bases that ideals carry from how they were built (<1> and h * J, with
