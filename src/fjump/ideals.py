@@ -3,7 +3,9 @@
 Ideals carry a generator list and a lazily computed, cached reduced
 Groebner basis under grevlex, the only monomial order; every predicate
 (membership, containment, equality) routes through that canonical basis.
-Division takes terms from one grevlex heap, whatever the basis. One
+Most bases are all-monomial, and the remainder by one is the terms of f
+that no basis monomial divides, found by one filter with no heap and no
+division; any other basis divides terms taken from one grevlex heap. One
 nonzero generator is its own reduced basis once made monic, and as
 LT(h*g) = LT(h)*LT(g), h*J has the basis h*G (G the reduced basis of J,
 h monic) once the tails are reduced: <1> and every h*J skip Buchberger.
@@ -54,14 +56,21 @@ def minimal_monomials(monomials) -> list[Monomial]:
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f by ``basis``, all-monomial or not, in one division loop.
+    """Remainder of f by ``basis``.
 
-    Terms come off a heap in descending grevlex order; each goes to its first
-    divisor. The basis polynomials must be nonzero; they need not be monic or
-    a Groebner basis (but the remainder is only canonical when they are).
+    By an all-monomial basis the remainder is the terms of f that no basis
+    monomial divides: dividing by a monomial removes a term and adds none.
+    By any other basis, terms come off a heap in descending grevlex order
+    and each goes to its first divisor. The basis polynomials must be
+    nonzero; they need not be monic or a Groebner basis (but the remainder
+    is only canonical when they are).
     """
     if f.is_zero() or not basis:
         return f
+    if all(len(g.terms) == 1 for g in basis):
+        lts = [m for g in basis for m in g.terms]
+        kept = {m: c for m, c in f.terms.items() if not any(_divides(lt, m) for lt in lts)}
+        return f if len(kept) == len(f.terms) else Polynomial(f.ctx, kept, _canonical=True)
     p = f.ctx.p
     prepared = [(g.leading_monomial(), g) for g in basis]
     work = dict(f.terms)

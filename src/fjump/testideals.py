@@ -49,10 +49,11 @@ state numbers: one that meets known steps costs one lookup of a small int
 per digit, and equal ideals in a block are one object. The table also
 keeps what the walks found, each found once per block: the Phi trace from
 a state, the state of tau(f^c) or of its left limit at each c asked for,
-and whether one state contains another, which ``is_jumping``, ``chain``
-and ``nil_compare`` ask. A tau or left-limit query opens a block
-of its own when none is open, and builds each power f^n once; it drops
-them on return, as at large p they have up to p terms each.
+and whether one state contains another, which ``enumerate_jumps``,
+``is_jumping``, ``chain`` and ``nil_compare`` ask. A tau or left-limit
+query opens a block of its own when none is open, and builds each power
+f^n once; it drops them on return, as at large p they have up to p terms
+each.
 """
 
 from __future__ import annotations
@@ -326,15 +327,20 @@ class Jump(namedtuple("Jump", "c tau_left tau_at")):
         return self.tau_left != self.tau_at
 
 
+def _check_witnesses(f: Polynomial, c: Fraction, left: Ideal, at: Ideal):
+    """Raise unless tau's left limit at c contains tau at c, as it must."""
+    if not _contains(f, left, at):
+        raise AssertionError(
+            f"tau left limit fails to contain tau at c={c}; this is a bug"
+        )
+
+
 def is_jumping(f: Polynomial, c: Fraction) -> Jump:
     """Test tau(f^(c-)) != tau(f^c), returning both witness ideals."""
     c = _as_fraction(c)
     left = tau_left_limit(f, c)
     at = tau(f, c)
-    if not _contains(f, left, at):
-        raise AssertionError(
-            f"tau left limit fails to contain tau at c={c}; this is a bug"
-        )
+    _check_witnesses(f, c, left, at)
     return Jump(c, left, at)
 
 
@@ -382,21 +388,27 @@ def _interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
         (n + (n mod p^beta) / (p^beta - 1)) / p^e,
 
     a function of beta alone: the left endpoint when n mod p^beta = 0, the
-    right one when it is p^beta - 1, and strictly inside otherwise.
+    right one when it is p^beta - 1, and strictly inside otherwise. A value
+    is keyed by (n mod p^beta) / (p^beta - 1) in lowest terms. Each beta
+    gives one value, so distinct values never tie on (d + beta, d) and the
+    ranking never reads a value: a Fraction is built only for each one
+    returned.
     """
     n, q = r - 1, p**e
-    hi = Fraction(r, q)
     digits = [(n // p ** (e - 1 - i)) % p for i in range(e)]
-    first: dict[Fraction, tuple[int, int]] = {}  # value -> (d + beta, d)
+    # tail / (p^beta - 1) in lowest terms -> (d + beta, d, beta)
+    first: dict[tuple[int, int], tuple[int, int, int]] = {}
     for beta in range(1, e + 1):
-        tail = n % p**beta
-        if not 0 < tail < p**beta - 1:
+        tail, period = n % p**beta, p**beta - 1
+        if not 0 < tail < period:
             continue
         d = max((i - beta + 1 for i in range(beta, e) if digits[i] != digits[i - beta]), default=0)
-        value = Fraction(n * (p**beta - 1) + tail, q * (p**beta - 1))
-        if value not in first or d < first[value][1]:
-            first[value] = (d + beta, d)
-    return [hi] + sorted(first, key=lambda v: (*first[v], v))
+        g = math.gcd(tail, period)
+        key = tail // g, period // g
+        if key not in first or d < first[key][1]:
+            first[key] = (d + beta, d, beta)
+    ranked = [beta for *_, beta in sorted(first.values())]
+    return [Fraction(r, q)] + [Fraction(n * (p**b - 1) + n % p**b, q * (p**b - 1)) for b in ranked]
 
 
 def _drops(f: Polynomial, e: int, lo: int, hi: int, t_lo: Ideal, t_hi: Ideal) -> list:
@@ -428,10 +440,13 @@ def enumerate_jumps(
 
     ``_drops`` bisects for each r in 1..ceil(bound p) where I_1(f^r) drops.
     The interval ((r-1)/p^e, r/p^e] of a drop is resolved when a candidate
-    c passes is_jumping with both witnesses equal to its end values, which
-    certifies c as its only jump; otherwise its p children one level deeper
-    are bisected from those end values, up to ``depth``, where what is left
-    is returned as unresolved. Reported jumps are always confirmed exactly.
+    c has tau's left limit and value at c equal to the interval's end values,
+    compared as states of f's digit table, which certifies c as its only
+    jump; is_jumping then builds the Jump from the memo. Every candidate
+    tested must have a left limit containing tau, or a bug is reported.
+    Otherwise the interval's p children one level deeper are bisected from
+    its end values, up to ``depth``, where what is left is returned as
+    unresolved. Reported jumps are always confirmed exactly.
     """
     _require_nonzero(f)
     if f.is_constant():
@@ -449,18 +464,22 @@ def enumerate_jumps(
     with shared_roots():
         queue = _drops(f, 1, 0, top, Ideal.unit(f.ctx), tau_dyadic(f, top, 1))
 
+        table = _table(f)
         while queue:
             e, r, t_lo, t_hi = queue.pop(0)
-            tests = (is_jumping(f, c) for c in _interval_candidates(p, e, r))
-            # t_lo != t_hi, so a test that reproduces both witnesses is a jump
-            found = next((jt for jt in tests if (jt.tau_left, jt.tau_at) == (t_lo, t_hi)), None)
-            if found is not None:
-                jumps.append(found)
-                continue
-            if e < depth:
-                queue.extend(_drops(f, e + 1, (r - 1) * p, r * p, t_lo, t_hi))
-            elif Fraction(r - 1, p**e) < bound:
-                unresolved.append((Fraction(r - 1, p**e), min(Fraction(r, p**e), bound)))
+            ends = table.state(t_lo), table.state(t_hi)
+            for c in _interval_candidates(p, e, r):
+                left, at = _tau_split(f, c, left=True), _tau_split(f, c, left=False)
+                _check_witnesses(f, c, left, at)
+                # t_lo != t_hi, so a candidate that reproduces both ends is a jump
+                if (table.state(left), table.state(at)) == ends:
+                    jumps.append(is_jumping(f, c))
+                    break
+            else:
+                if e < depth:
+                    queue.extend(_drops(f, e + 1, (r - 1) * p, r * p, t_lo, t_hi))
+                elif Fraction(r - 1, p**e) < bound:
+                    unresolved.append((Fraction(r - 1, p**e), min(Fraction(r, p**e), bound)))
 
     jumps = [j for j in jumps if j.c <= bound]
     jumps.sort(key=lambda j: j.c)

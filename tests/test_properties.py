@@ -1,6 +1,7 @@
 """Property tests for the Frobenius split, the reduced Groebner basis and
 the test ideals tau(f^c)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from fjump import (  # noqa: E402
     reduced_groebner,
     tau,
 )
-from fjump.ideals import _s_poly  # noqa: E402
+from fjump.ideals import _s_poly, normal_form  # noqa: E402
 from fjump.ring import grevlex_key  # noqa: E402
 
 from conftest import poly, reassemble  # noqa: E402
@@ -113,6 +114,43 @@ def test_root_of_product_drops_cancelled_terms():
     root = frobenius_root_ideal(Ideal(ctx, (g,)), 1, h)
     assert root == _root_by_definition(ctx, h, [g], 1) == Ideal(ctx, (poly(ctx, "x"), poly(ctx, "y")))
     assert sorted(map(len, (r.terms for r in root.generators))) == [1, 2]
+
+
+def test_normal_form_by_monomials():
+    # by monomials, some redundant, some scaled and some the constant 1, the
+    # remainder r of f keeps no term that a basis monomial divides, and every
+    # term of f - r has such a divisor
+    rng = random.Random(541)
+    kinds = dict.fromkeys(("redundant", "scaled", "unit"), 0)
+    for _ in range(600):
+        ctx = RingContext(rng.choice((2, 3, 5, 7)), ("x", "y", "z")[: rng.randint(1, 3)])
+        monos: list = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.random()
+            if kind < 0.05:
+                m = (0,) * ctx.nvars
+                kinds["unit"] += 1
+            elif kind < 0.35 and monos:
+                m = tuple(a + rng.randint(0, 2) for a in rng.choice(monos))
+                kinds["redundant"] += 1
+            else:
+                m = tuple(rng.randint(0, 4) for _ in range(ctx.nvars))
+            monos.append(m)
+        coeffs = [rng.randint(1, ctx.p - 1) for _ in monos]
+        kinds["scaled"] += sum(c != 1 for c in coeffs)
+        basis = [Polynomial(ctx, {m: c}) for m, c in zip(monos, coeffs)]
+        f = Polynomial(ctx, {
+            tuple(rng.randint(0, 6) for _ in range(ctx.nvars)): rng.randint(1, ctx.p - 1)
+            for _ in range(rng.randint(1, 12))
+        })
+        r = normal_form(f, basis)
+
+        def divided(m):
+            return any(all(a <= b for a, b in zip(lt, m)) for lt in monos)
+
+        assert not any(map(divided, r.terms)), (f, basis)
+        assert all(map(divided, (f - r).terms)), (f, basis)
+    assert min(kinds.values()) >= 20, kinds
 
 
 @st.composite

@@ -370,6 +370,50 @@ class TestEnumerateJumps:
         assert deeper.complete
         assert deeper.coefficients() == [Fraction(1, 3), Fraction(2, 3), Fraction(1)]
 
+    def test_depth_four_leaves_three_intervals(self):
+        ctx = RingContext(2, ("x", "y"))
+        report = enumerate_jumps(poly(ctx, "x^5+y^7"), Fraction(1), depth=4)
+        assert report.unresolved == [
+            (Fraction(7, 16), Fraction(1, 2)),
+            (Fraction(11, 16), Fraction(3, 4)),
+            (Fraction(15, 16), Fraction(1)),
+        ]
+
+    def test_rejected_candidate_is_checked(self, ctx7, monkeypatch):
+        # 6/7, no jump, is the first candidate of (5/7, 6/7], whose jump is
+        # 5/6; a left limit at 6/7 that fails to contain tau must raise,
+        # although the candidate is rejected
+        f = poly(ctx7, "x^2 + y^3")
+        assert not is_jumping(f, Fraction(6, 7)).jumping
+        split = testideals._tau_split
+
+        def broken(g, c, left):
+            return Ideal(ctx7) if left and c == Fraction(6, 7) else split(g, c, left)
+
+        monkeypatch.setattr(testideals, "_tau_split", broken)
+        with pytest.raises(AssertionError, match="fails to contain"):
+            enumerate_jumps(f, Fraction(1))
+
+    def test_jumps_match_fresh_recomputation(self):
+        # each reported jump against is_jumping outside any shared_roots()
+        # block, where every query builds fresh tables and shares no memo
+        rng = random.Random(331)
+        for _ in range(40):
+            p = rng.choice((2, 3, 5, 7))
+            ctx = RingContext(p, ("x", "y", "z")[: rng.randint(2, 3)])
+            f = random_poly(rng, ctx, max_terms=4, max_exp=4)
+            if f.is_constant():
+                continue
+            report = enumerate_jumps(f, Fraction(1), depth=rng.randint(2, 5))
+            for jump in report.jumps:
+                fresh = is_jumping(f, jump.c)
+                assert fresh.jumping
+                assert (fresh.c, fresh.tau_left.groebner_basis(), fresh.tau_at.groebner_basis()) == (
+                    jump.c,
+                    jump.tau_left.groebner_basis(),
+                    jump.tau_at.groebner_basis(),
+                ), (f, jump.c)
+
     def test_rejects_constants(self, ctx2):
         with pytest.raises(ValueError):
             enumerate_jumps(Polynomial.one(ctx2), Fraction(1))
@@ -600,6 +644,28 @@ class TestIntervalCandidates:
                 expected = sorted(least, key=lambda v: (*least[v], v))
                 got = testideals._interval_candidates(p, e, r)
                 assert got == [hi] + expected, (p, e, r)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_fraction_ranking(self, p):
+        # the list and its order against the ranking by Fraction values: every
+        # r for p^e <= 4096; above that, up to e = 7, the ends, uniform draws
+        # and draws whose digits repeat a short block after a random prefix
+        rng = random.Random(227 + p)
+        for e in range(1, 8):
+            q = p**e
+            if q <= 4096:
+                rs = range(1, q + 1)
+            else:
+                rs = [1, 2, q - 1, q] + [rng.randint(1, q) for _ in range(60)]
+                for _ in range(60):
+                    block = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
+                    digits = (block * e)[:e]
+                    for i in range(rng.randint(0, e - 1)):
+                        digits[i] = rng.randrange(p)
+                    rs.append(1 + sum(x * p**i for i, x in enumerate(reversed(digits))))
+            for r in rs:
+                got = testideals._interval_candidates(p, e, r)
+                assert got == oracles.interval_candidates(p, e, r), (p, e, r)
 
 
 class TestScalingLaw:
