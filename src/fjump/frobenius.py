@@ -13,29 +13,40 @@ a general ideal is the sum of the roots of any set of generators. A class
 that holds one term adds just the monomial x^{mu div p^e}, as its
 coefficient is a unit, so a root builds only the minimal such monomials.
 
-For a binomial f = a*x^u + b*x^v, 0 <= d < p and a monomial x^w, term i of
-f^d*x^w is C(d,i)*a^i*b^(d-i)*x^(B + i*S) with B = d*v + w and S = u - v.
-Each coefficient is a unit, and when some coordinate of S is not divisible
-by p no two terms share a class, as 0 < |i - j| <= d < p. The root of
-f^d*x^w is then generated by the outer monomials (B + i*S) div p, which rise
-with i where S is positive and fall elsewhere; only i = d and each i whose
-successor steps a rising coordinate up can be minimal, at most deg f + 1 of
-them whatever p is. At d = 0, and for a one-term f (u = v, any d), the one
-outer monomial is (d*u + w) div p.
+For f = sum_i c_i x^(u_i) with k terms, 0 <= d < p and a monomial x^w, the
+split alpha of d over the terms gives the term of f^d*x^w at
+sum_i alpha_i u_i + w, with a unit multinomial coefficient. When the
+differences u_1 - u_k, ..., u_(k-1) - u_k are linearly independent over
+F_p, two splits never share a class: that would need
+sum_(i<k) (alpha_i - alpha'_i)(u_i - u_k) = 0 mod p with every
+|alpha_i - alpha'_i| <= d < p. The root of f^d*x^w is then generated by the
+outer monomials (sum_i alpha_i u_i + w) div p. They are enumerated over the
+splits of d over the first k - 2 terms; each split's remaining r goes to
+the last two, where term i of the binomial part is x^(B + i*S) with
+S = u_(k-1) - u_k, and its outer monomials rise with i where S is positive
+and fall elsewhere: only i = r and each i whose successor steps a rising
+coordinate up can be minimal, at most deg f + 1 of them whatever p is. At
+d = 0, and for a one-term f (any d), the one outer monomial is
+(d*u + w) div p.
 """
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
+from operator import add
 
+from . import ring
 from .ideals import Ideal, minimal_monomials
-from .ring import Monomial, Polynomial, _accumulate
+from .ring import BudgetExceededError, Monomial, Polynomial, _accumulate
 
 _query_powers: ContextVar[dict | None] = ContextVar("_query_powers", default=None)
 
 
 def _power(f: Polynomial, n: int) -> Polynomial:
-    """f**n, built once while a query's power store is open."""
+    """f**n, built once while a query's power store is open; f**1 is f."""
+    if n == 1:
+        return f
     powers = _query_powers.get()
     if powers is None:
         return f**n
@@ -68,19 +79,63 @@ def _split(f: Polynomial, e: int, h: Polynomial | None = None) -> dict[Monomial,
     return split
 
 
-def binomial_root_monomials(u: Monomial, v: Monomial, d: int, p: int, ws) -> list[Monomial]:
+def independent_differences(f: Polynomial) -> bool:
+    """Whether f is nonzero and the differences u_1 - u_k, ..., u_(k-1) - u_k
+    of its exponents are linearly independent over F_p."""
+    if not f.terms:
+        return False
+    p = f.ctx.p
+    *rows, last = f.terms
+    pivots: dict[int, list[int]] = {}  # column -> reduced row with a 1 there
+    for u in rows:
+        row = [(a - b) % p for a, b in zip(u, last)]
+        for j, b in pivots.items():
+            c = row[j]
+            row = [(x - c * y) % p for x, y in zip(row, b)]
+        j = next((j for j, x in enumerate(row) if x), None)
+        if j is None:
+            return False
+        c = pow(row[j], -1, p)
+        pivots[j] = [x * c % p for x in row]
+    return True
+
+
+def _splits(head: list[Monomial], mono: Monomial, r: int):
+    """(mono + sum_i alpha_i h_i, r - sum_i alpha_i) for every split alpha of at
+    most r over the exponents h_i in ``head``, one at a time."""
+    if not head:
+        yield mono, r
+        return
+    h, *rest = head
+    for a in range(r + 1):
+        yield from _splits(rest, mono, r - a)
+        mono = tuple(map(add, mono, h))
+
+
+def root_monomials(us: list[Monomial], d: int, p: int, ws) -> set[Monomial]:
     """Outer monomials whose minimal ones generate I_1(f^d * <x^w : w in ws>)
-    for f = a*x^u + b*x^v, 0 <= d < p and u - v not 0 mod p, from exponents."""
+    for f with exponents ``us`` whose differences are independent mod p and
+    d < p (any d for one term), from exponents; past the term budget, refused."""
+    *head, u, v = us if len(us) > 1 else us * 2
+    splits = math.comb(d + len(head), len(head)) * len(ws)
+    if splits > ring.EXPANSION_TERM_BUDGET:
+        raise BudgetExceededError(
+            f"expanding f^{d} term by term: {splits} terms exceed {ring.EXPANSION_TERM_BUDGET}"
+        )
     s = [a - b for a, b in zip(u, v)]
-    outers = []
+    zero = (0,) * len(u)
+    outers: set[Monomial] = set()
     for w in ws:
-        base = [d * b + c for b, c in zip(v, w)]
-        last = {d}
-        for b, k in zip(base, s):
-            if k > 0:
-                # term i + 1 is the first to reach m*p at i + 1 = ceil((m*p - b) / k)
-                last.update(-((b - m * p) // k) - 1 for m in range(b // p + 1, (b + d * k) // p + 1))
-        outers += [tuple([(b + i * k) // p for b, k in zip(base, s)]) for i in last]
+        for mono, r in _splits(head, w, d):
+            base = [m + r * b for m, b in zip(mono, v)]
+            last = {r}
+            for b, k in zip(base, s):
+                if k > 0:
+                    # term i + 1 is the first to reach m*p at i + 1 = ceil((m*p - b) / k)
+                    last.update(-((b - m * p) // k) - 1 for m in range(b // p + 1, (b + r * k) // p + 1))
+            outers.update([tuple([(b + i * k) // p for b, k in zip(base, s)]) for i in last])
+            if zero in outers:  # the root is <1>
+                return {zero}
     return outers
 
 
@@ -94,7 +149,9 @@ def frobenius_root_poly(f: Polynomial, e: int) -> Ideal:
     return Ideal(f.ctx, tuple(frobenius_decompose(f, e).values()))
 
 
-def frobenius_root_ideal(I: Ideal, e: int, h: Polynomial | None = None, d: int = 1) -> Ideal:
+def frobenius_root_ideal(
+    I: Ideal, e: int, h: Polynomial | None = None, d: int = 1, free: bool | None = None
+) -> Ideal:
     """The minimal ideal J with J^{[p^e]} containing I, or h^d*I given h.
 
     Generated by the decomposition parts of any generating set; the result
@@ -104,19 +161,24 @@ def frobenius_root_ideal(I: Ideal, e: int, h: Polynomial | None = None, d: int =
     become generators, which alone, in grevlex order, are the reduced basis,
     and a constant part makes the root <1> at once. At e = 1, the root of
     monomials times h^d comes from exponents alone when h has one term, d is
-    0, or h is a binomial with d < p whose exponents differ mod p.
+    0, or d < p and h's exponent differences are independent mod p. ``free``
+    says whether they are, for a caller that knows; otherwise it is decided
+    here.
     """
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
     ctx, p = I.ctx, I.ctx.p
     if h is None or not d:
         h, d = None, 0
-    ends = [(0,) * ctx.nvars] if h is None else list(h.terms)
+    us = [(0,) * ctx.nvars] if h is None else list(h.terms)
     monomials: set[Monomial] = set()
     parts: list[Polynomial] = []
-    binomial = len(ends) == 2 and d < p and any((a - b) % p for a, b in zip(*ends))
-    if e == 1 and (len(ends) == 1 or binomial) and all(len(g.terms) == 1 for g in I.generators):
-        monomials.update(binomial_root_monomials(ends[0], ends[-1], d, p, [m for g in I.generators for m in g.terms]))
+    if (
+        e == 1
+        and all(len(g.terms) == 1 for g in I.generators)
+        and (len(us) == 1 or d < p and (independent_differences(h) if free is None else free))
+    ):
+        monomials = root_monomials(us, d, p, [m for g in I.generators for m in g.terms])
         if not all(map(any, monomials)):
             return Ideal.unit(ctx)
     else:

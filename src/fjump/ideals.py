@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+from operator import le
 
 from .grammar import format_poly
 from .ring import BudgetExceededError, Monomial, Polynomial, RingContext, _combine, grevlex_key
@@ -30,7 +31,7 @@ BUCHBERGER_PAIR_BUDGET = 200_000
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:

@@ -30,8 +30,10 @@ Phi is monotone and deterministic, so two equal consecutive iterates make
 the chain stationary forever: the fixed point is a rigorous stopping rule.
 
 Most states are all-monomial. A digit step on one is read off the
-exponents alone when f is a monomial, when d = 0, or when f is a binomial
+exponents alone when f is a monomial, when d = 0, or when the differences
+of f's exponents are linearly independent mod p, as for every binomial
 whose two exponents differ mod p: no power of f, no product and no split.
+f's table decides that independence once.
 
 Many states are Skoda shifts f^n * K, as the seed <f> = f * <1> and each
 f^n * J the table builds, and take K's steps: by the skew identity
@@ -65,7 +67,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 
 from .digits import canonicalize
-from .frobenius import _power, _query_powers, frobenius_root_ideal
+from .frobenius import _power, _query_powers, frobenius_root_ideal, independent_differences
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
 
@@ -106,12 +108,14 @@ class _DigitTable:
     ``fixed[a, beta, i]`` is the Phi trace from state i as a tuple of
     states, ending with the repeated one; ``values[num, den, left]`` is the
     state of tau(f^(num/den)), or of its left limit; and ``below[i, j]``
-    says whether states[i] contains states[j].
+    says whether states[i] contains states[j]. ``free`` says once whether
+    f's exponent differences are independent mod p, so that its digit steps
+    on all-monomial states come from exponents.
     """
 
-    __slots__ = ("states", "index", "delta", "shifts", "carry", "fixed", "values", "below", "_seed")
+    __slots__ = ("states", "index", "delta", "shifts", "carry", "fixed", "values", "below", "free", "_seed")
 
-    def __init__(self):
+    def __init__(self, f: Polynomial):
         self.states: list[Ideal] = []
         self.index: dict[Ideal, int] = {}
         self.delta: list[dict[int, int]] = []
@@ -120,6 +124,7 @@ class _DigitTable:
         self.fixed: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self.values: dict[tuple[int, int, bool], int] = {}
         self.below: dict[tuple[int, int], bool] = {}
+        self.free = independent_differences(f)
         self._seed: Ideal | None = None
 
     def state(self, J: Ideal) -> int:
@@ -148,8 +153,8 @@ def _table(f: Polynomial) -> _DigitTable:
     """f's table in the open ``shared_roots()`` block, or one for a single walk."""
     tables = _step_memo.get()
     if tables is None:
-        return _DigitTable()
-    return tables.get(f) or tables.setdefault(f, _DigitTable())
+        return _DigitTable(f)
+    return tables.get(f) or tables.setdefault(f, _DigitTable(f))
 
 
 def _contains(f: Polynomial, I: Ideal, J: Ideal) -> bool:
@@ -164,9 +169,9 @@ def _contains(f: Polynomial, I: Ideal, J: Ideal) -> bool:
     return known
 
 
-def _digit_step(f: Polynomial, d: int, J: Ideal) -> Ideal:
+def _digit_step(f: Polynomial, d: int, J: Ideal, free: bool | None = None) -> Ideal:
     """I_1(f^d * J); ``_DigitTable.state`` gives it its basis as generators."""
-    return frobenius_root_ideal(J, 1, f, d)
+    return frobenius_root_ideal(J, 1, f, d, free)
 
 
 def _shift(table: _DigitTable, f: Polynomial, n: int, i: int) -> int:
@@ -186,7 +191,7 @@ def _step(table: _DigitTable, f: Polynomial, d: int, i: int) -> int:
     if j is None:
         carried = table.carry.get(i)
         if carried is None:
-            j = table.state(_digit_step(f, d, table.states[i]))
+            j = table.state(_digit_step(f, d, table.states[i], table.free))
         else:
             n, k = carried
             q, r = divmod(d + n, f.ctx.p)
@@ -275,7 +280,7 @@ def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
     tables = _step_memo.get()
     if tables is None:  # a block of the query's own
         tables = {}
-    table = tables.get(f) or tables.setdefault(f, _DigitTable())
+    table = tables.get(f) or tables.setdefault(f, _DigitTable(f))
     key = c.numerator, c.denominator, left
     k = table.values.get(key)
     if k is None:
@@ -416,20 +421,23 @@ def _drops(f: Polynomial, e: int, lo: int, hi: int, t_lo: Ideal, t_hi: Ideal) ->
 
     r -> I_e(f^r) is monotone, so equal values t_lo, t_hi at the two ends of
     a range rule out a drop inside; any other range is halved at a root
-    taken at its midpoint. A work list, popped left half first, keeps r
-    increasing and a range of any width off the call stack.
+    taken at its midpoint. Values compare as states of f's table. A work
+    list, popped left half first, keeps r increasing and a range of any
+    width off the call stack.
     """
-    drops, work = [], [(lo, hi, t_lo, t_hi)]
+    table = _table(f)
+    states = table.states
+    drops, work = [], [(lo, hi, table.state(t_lo), table.state(t_hi))]
     while work:
-        lo, hi, t_lo, t_hi = work.pop()
-        if t_lo == t_hi:
+        lo, hi, i_lo, i_hi = work.pop()
+        if i_lo == i_hi:
             continue
         if hi - lo == 1:
-            drops.append((e, hi, t_lo, t_hi))
+            drops.append((e, hi, states[i_lo], states[i_hi]))
             continue
         mid = (lo + hi) // 2
-        t_mid = tau_dyadic(f, mid, e)
-        work += [(mid, hi, t_mid, t_hi), (lo, mid, t_lo, t_mid)]
+        i_mid = table.state(tau_dyadic(f, mid, e))
+        work += [(mid, hi, i_mid, i_hi), (lo, mid, i_lo, i_mid)]
     return drops
 
 

@@ -271,11 +271,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["tau -c 1/2", "jumps -B 1"])
     def test_dense_digit_power_budget(self, capsys, command):
-        # at p=1009 both take the digit power f^504, whose term bound is
-        # C(507, 3) > 2^20 (one root of the jump scan is at r = 504)
+        # five exponents in three variables have dependent differences, so the
+        # digit steps build f^d: at p=1009 both take f^504 or f^505, whose term
+        # bound C(1011, 3) or more passes 2^20 (a scan root is at r = 504)
         start = time.perf_counter()
-        code, out, err = run(capsys, *command.split(), "-p", "1009", "x+y+z+1")
+        code, out, err = run(capsys, *command.split(), "-p", "1009", "x+y+z+x*y+1")
         assert time.perf_counter() - start < 2
+        assert code == 4 and out == "" and "expanding f" in err
+
+    @pytest.mark.parametrize(
+        ("command", "answer"), [("tau -c 1/2", "1"), ("jumps -B 1", "1: 1 -> x + y + z + 1")]
+    )
+    def test_independent_differences_answer(self, capsys, command, answer):
+        # the differences of x, y, z and 1 are independent mod p: the digit
+        # steps on monomial states come from exponents, with no power of f
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *command.split(), "-p", "1009", "x+y+z+1")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out == answer
+
+    def test_independent_differences_budget(self, capsys):
+        # at p=65521 a Phi step splits d = 32761 over three terms, about
+        # 5.4*10^8 ways: refused before any is enumerated
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tau", "-c", "1/2", "-p", "65521", "x+y+z+1")
+        assert time.perf_counter() - start < 1
         assert code == 4 and out == "" and "expanding f" in err
 
     def test_dense_power_is_expanded(self, capsys):

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from fjump import (
+    BudgetExceededError,
     Ideal,
     Polynomial,
     RingContext,
@@ -10,6 +12,7 @@ from fjump import (
     frobenius_root_ideal,
     frobenius_root_poly,
     reduced_groebner,
+    ring,
 )
 
 from conftest import ideal, poly, random_ideal, random_poly, reassemble
@@ -176,6 +179,28 @@ class TestRootOfIdeal:
             J = Ideal(ctx2, I.generators + random_ideal(rng, ctx2).generators)
             for e in (1, 2):
                 assert frobenius_root_ideal(J, e).contains(frobenius_root_ideal(I, e))
+
+
+class TestExponentSteps:
+    def test_budget_refusal_is_immediate(self):
+        # about 2.1*10^9 splits of d = 65520 over x, y, z, 1: refused unbuilt
+        ctx = RingContext(65521, ("x", "y", "z"))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="expanding f"):
+            frobenius_root_ideal(Ideal.unit(ctx), 1, poly(ctx, "x+y+z+1"), 65520)
+        assert time.perf_counter() - start < 1
+
+    def test_budget_counts_splits_times_generators(self, monkeypatch):
+        # C(6 + 2, 2) = 28 splits of d = 6 before the last two terms, for each
+        # of the two generators
+        ctx = RingContext(7, ("x", "y", "z"))
+        f, J = poly(ctx, "x+y+z+1"), ideal(ctx, "x^7", "y^7*z^3")
+        expected = Ideal(ctx, [g for w in J.generators for g in frobenius_root_poly(f**6 * w, 1).generators])
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", 56)
+        assert frobenius_root_ideal(J, 1, f, 6) == expected
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", 55)
+        with pytest.raises(BudgetExceededError, match="expanding f"):
+            frobenius_root_ideal(J, 1, f, 6)
 
 
 class TestStarAndMinimality:

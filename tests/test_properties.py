@@ -1,6 +1,7 @@
 """Property tests for the Frobenius split, the reduced Groebner basis and
 the test ideals tau(f^c)."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from fjump import (  # noqa: E402
     RingContext,
     frobenius_decompose,
     frobenius_root_ideal,
+    frobenius_root_poly,
     reduced_groebner,
     tau,
 )
-from fjump.ideals import _s_poly, normal_form  # noqa: E402
+from fjump.frobenius import independent_differences, root_monomials  # noqa: E402
+from fjump.ideals import _s_poly, minimal_monomials, normal_form  # noqa: E402
 from fjump.ring import grevlex_key  # noqa: E402
 
 from conftest import poly, reassemble  # noqa: E402
@@ -114,6 +117,46 @@ def test_root_of_product_drops_cancelled_terms():
     root = frobenius_root_ideal(Ideal(ctx, (g,)), 1, h)
     assert root == _root_by_definition(ctx, h, [g], 1) == Ideal(ctx, (poly(ctx, "x"), poly(ctx, "y")))
     assert sorted(map(len, (r.terms for r in root.generators))) == [1, 2]
+
+
+def _dependent_by_search(f):
+    """Whether some nonzero c in F_p^(k-1) has sum_i c_i (u_i - u_k) = 0 mod p."""
+    p = f.ctx.p
+    *rows, last = f.terms
+    diffs = [[a - b for a, b in zip(u, last)] for u in rows]
+    return any(
+        any(c) and not any(sum(ci * row[j] for ci, row in zip(c, diffs)) % p for j in range(len(last)))
+        for c in itertools.product(range(p), repeat=len(rows))
+    )
+
+
+def test_exponent_steps_match_definition():
+    # I_1(f^d * <x^w : w in ws>) read off the exponents of f, against the
+    # parts of each f^d * x^w built and split (frobenius_root_poly); the
+    # independence test against a search over every combination mod p
+    rng = random.Random(8191)
+    drawn = {True: 0, False: 0}
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        ctx = RingContext(p, ("x", "y", "z")[: rng.randint(2, 3)])
+        monos: set = set()
+        k = rng.randint(3, 5)
+        while len(monos) < k:
+            monos.add(tuple(rng.randint(0, 6) for _ in range(ctx.nvars)))
+        f = Polynomial(ctx, {m: rng.randint(1, p - 1) for m in monos})
+        free = independent_differences(f)
+        assert free != _dependent_by_search(f), f
+        drawn[free] += 1
+        d = rng.randrange(p)
+        ws = [tuple(rng.randint(0, 2 * p) for _ in range(ctx.nvars)) for _ in range(rng.randint(1, 3))]
+        gens = [Polynomial(ctx, {w: 1}) for w in ws]
+        power = f**d
+        definition = Ideal(ctx, [g for x_w in gens for g in frobenius_root_poly(power * x_w, 1).generators])
+        assert frobenius_root_ideal(Ideal(ctx, gens), 1, f, d) == definition, (f, d, ws)
+        if free:
+            monomials = minimal_monomials(root_monomials(list(f.terms), d, p, ws))
+            assert Ideal(ctx, [Polynomial(ctx, {m: 1}) for m in monomials]) == definition, (f, d, ws)
+    assert min(drawn.values()) >= 20, drawn
 
 
 def test_normal_form_by_monomials():

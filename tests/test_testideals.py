@@ -106,13 +106,14 @@ class TestTauDyadic:
 
 class TestExpansionBudget:
     def test_bound_covers_true_size(self, monkeypatch):
-        # a budget one below the true size of f^n must always refuse f^n
+        # a budget one below the true size of f^n must always refuse f^n;
+        # from n = 2, as a Skoda shift by f^1 is by f itself and builds no power
         rng = random.Random(71)
         for p in (2, 3, 5, 7):
             ctx = RingContext(p, ("x", "y"))
             for _ in range(15):
                 f = random_poly(rng, ctx, max_terms=4, max_exp=4)
-                n = rng.randint(1, 60)
+                n = rng.randint(2, 60)
                 # each f**n is built under the default budget, not the last patch
                 with monkeypatch.context() as patch:
                     patch.setattr(ring, "EXPANSION_TERM_BUDGET", len((f**n).terms) - 1)
@@ -776,9 +777,9 @@ class TestBinomialStep:
         general, splits = [], []
         real, real_split = testideals.frobenius_root_ideal, frobenius._split
 
-        def counted(I, e, h=None, d=1):
+        def counted(I, e, h=None, d=1, free=None):
             general.append(h)
-            return real(I, e, h, d)
+            return real(I, e, h, d, free)
 
         def counted_split(g, e, h=None):
             splits.append(h)
@@ -824,7 +825,7 @@ class TestCarriedSteps:
             cases = [(K, n) for K in (monomial, random_ideal(rng, ctx, max_gens=2, max_exp=2))
                      for n in (rng.randint(1, p), rng.randint(p + 1, 2 * p))]
             for K, n in cases:
-                table = testideals._DigitTable()
+                table = testideals._DigitTable(f)
                 k = table.state(K)
                 j = testideals._shift(table, f, n, k)
                 assert table.carry[j] == (n, k)
@@ -837,7 +838,7 @@ class TestCarriedSteps:
 
     def test_seed_is_carried_from_the_unit_state(self, ctx5):
         f = poly(ctx5, "x^2+y^3")
-        table = testideals._DigitTable()
+        table = testideals._DigitTable(f)
         seed = table.state(table.seed(f))
         assert table.carry[seed] == (1, table.state(Ideal.unit(ctx5)))
         # at d = p - 1 the step is <f> itself: I_1(f^p) = f * I_1(<1>)
@@ -935,9 +936,9 @@ class TestSharedRoots:
         calls = []
         real = testideals.frobenius_root_ideal
 
-        def counted(I, e, h=None, d=1):
+        def counted(I, e, h=None, d=1, free=None):
             calls.append(e)
-            return real(I, e, h, d)
+            return real(I, e, h, d, free)
 
         monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
         queries = [(tau, Fraction(5, 6)), (tau_left_limit, Fraction(5, 6)), (tau, Fraction(7, 4))]
@@ -964,9 +965,9 @@ class TestSharedRoots:
         calls = []
         real = testideals._digit_step
 
-        def counted(f, d, J):
+        def counted(f, d, J, free=None):
             calls.append(d)
-            return real(f, d, J)
+            return real(f, d, J, free)
 
         monkeypatch.setattr(testideals, "_digit_step", counted)
         f = poly(ctx3, "x^2+y^3")
@@ -985,7 +986,13 @@ class TestSharedRoots:
 
     @pytest.mark.parametrize(
         ("p", "text", "c"),
-        [(5, "x^2+y^3", Fraction(19, 24)), (5, "x^3+y^4+x^2*y^2", Fraction(3, 4))],
+        [
+            (5, "x^2+y^3", Fraction(19, 24)),
+            # exponent differences (3, -4), (2, -2): independent mod 5
+            (5, "x^3+y^4+x^2*y^2", Fraction(3, 4)),
+            # exponent differences (4, -4), (2, -2): dependent mod 5
+            (5, "x^4+x^2*y^2+y^4", Fraction(19, 24)),
+        ],
     )
     def test_query_builds_each_digit_power_once(self, monkeypatch, p, text, c):
         built, steps = {}, []
@@ -995,9 +1002,9 @@ class TestSharedRoots:
             built[g, d] = built.get((g, d), 0) + 1
             return real_pow(g, d)
 
-        def counted_step(f, d, J):
+        def counted_step(f, d, J, free=None):
             before = sum(built.values())
-            root = real_step(f, d, J)
+            root = real_step(f, d, J, free)
             monomial = all(len(g.terms) == 1 for g in J.generators)
             steps.append((d, monomial, sum(built.values()) - before))
             return root
@@ -1006,14 +1013,14 @@ class TestSharedRoots:
         monkeypatch.setattr(testideals, "_digit_step", counted_step)
         f = poly(RingContext(p, ("x", "y")), text)
         tau(f, c)
-        assert built and max(built.values()) == 1
-        if len(f.terms) == 2:
-            # a binomial's steps on monomial states come from exponents alone
+        assert max(built.values(), default=1) == 1
+        if frobenius.independent_differences(f):
+            # steps on monomial states come from exponents alone
             assert any(d for d, monomial, _ in steps if monomial)
             assert not any(pows for _, monomial, pows in steps if monomial)
         else:
             # the Phi iterates take some digit step more than once
-            assert len([d for d, _, _ in steps if d]) > len(built)
+            assert built and len([d for d, _, _ in steps if d]) > len(built)
         assert testideals._step_memo.get() is None
         assert testideals._query_powers.get() is None
 
