@@ -33,25 +33,11 @@ d = 0, and for a one-term f (any d), the one outer monomial is
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from operator import add
 
 from . import ring
 from .ideals import Ideal, minimal_monomials
 from .ring import BudgetExceededError, Monomial, Polynomial, _accumulate
-
-_query_powers: ContextVar[dict | None] = ContextVar("_query_powers", default=None)
-
-
-def _power(f: Polynomial, n: int) -> Polynomial:
-    """f**n, built once while a query's power store is open; f**1 is f."""
-    if n == 1:
-        return f
-    powers = _query_powers.get()
-    if powers is None:
-        return f**n
-    return powers.get((f, n)) or powers.setdefault((f, n), f**n)
-
 
 def _split(f: Polynomial, e: int, h: Polynomial | None = None) -> dict[Monomial, dict]:
     """The nonzero terms c*x^mu of f, or of h*f without building it, by residue
@@ -182,7 +168,7 @@ def frobenius_root_ideal(
         if not all(map(any, monomials)):
             return Ideal.unit(ctx)
     else:
-        h = _power(h, d) if d > 1 else h
+        h = h**d if d > 1 else h
         for g in I.generators:
             for terms in _split(g, e, h).values():
                 if len(terms) > 1:

@@ -314,7 +314,7 @@ class Polynomial:
             raise ValueError("negative exponent")
         if n == 0:
             return Polynomial.one(self.ctx)
-        if self.is_zero():
+        if n == 1 or self.is_zero():
             return self
         budget = EXPANSION_TERM_BUDGET
         if _term_bound(self, n, self.total_degree()) > budget:

@@ -48,14 +48,13 @@ are interned as numbered states, each mapped once from its reduced basis,
 and the table maps (d, J) to the state of the digit step I_1(f^d * J) and
 (n, J) to that of the Skoda shift f^n * J, each taken once. A walk runs on
 state numbers: one that meets known steps costs one lookup of a small int
-per digit, and equal ideals in a block are one object. The table also
-keeps what the walks found, each found once per block: the Phi trace from
-a state, the state of tau(f^c) or of its left limit at each c asked for,
-and whether one state contains another, which ``enumerate_jumps``,
-``is_jumping``, ``chain`` and ``nil_compare`` ask. A tau or left-limit
-query opens a block of its own when none is open, and builds each power
-f^n once; it drops them on return, as at large p they have up to p terms
-each.
+per digit, as a Phi trace asked for again does, and equal ideals in a
+block are one object. The table also keeps what the walks found, each
+found once per block: the state of tau(f^c) or of its left limit at each
+c asked for, and whether one state contains another, which
+``enumerate_jumps``, ``is_jumping``, ``chain`` and ``nil_compare`` ask. A
+tau or left-limit query opens a block of its own when none is open, as
+the Phi iterates of one query repeat their digit steps.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 
 from .digits import canonicalize
-from .frobenius import _power, _query_powers, frobenius_root_ideal, independent_differences
+from .frobenius import frobenius_root_ideal, independent_differences
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
 
@@ -104,16 +103,15 @@ class _DigitTable:
     generators, and ``index`` numbers it by value. ``delta[i][d]`` is the
     state of I_1(f^d * states[i]), ``shifts[n, i]`` that of f^n * states[i],
     and ``carry[j] = (n, k)`` says states[j] = f^n * states[k], so j's digit
-    steps come from k's. Three memos keep what walks found:
-    ``fixed[a, beta, i]`` is the Phi trace from state i as a tuple of
-    states, ending with the repeated one; ``values[num, den, left]`` is the
-    state of tau(f^(num/den)), or of its left limit; and ``below[i, j]``
-    says whether states[i] contains states[j]. ``free`` says once whether
-    f's exponent differences are independent mod p, so that its digit steps
-    on all-monomial states come from exponents.
+    steps come from k's. Two memos keep what walks found:
+    ``values[num, den, left]`` is the state of tau(f^(num/den)), or of its
+    left limit, and ``below[i, j]`` says whether states[i] contains
+    states[j]. ``free`` says once whether f's exponent differences are
+    independent mod p, so that its digit steps on all-monomial states come
+    from exponents.
     """
 
-    __slots__ = ("states", "index", "delta", "shifts", "carry", "fixed", "values", "below", "free", "_seed")
+    __slots__ = ("states", "index", "delta", "shifts", "carry", "values", "below", "free", "_seed")
 
     def __init__(self, f: Polynomial):
         self.states: list[Ideal] = []
@@ -121,7 +119,6 @@ class _DigitTable:
         self.delta: list[dict[int, int]] = []
         self.shifts: dict[tuple[int, int], int] = {}
         self.carry: dict[int, tuple[int, int]] = {}
-        self.fixed: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self.values: dict[tuple[int, int, bool], int] = {}
         self.below: dict[tuple[int, int], bool] = {}
         self.free = independent_differences(f)
@@ -178,7 +175,7 @@ def _shift(table: _DigitTable, f: Polynomial, n: int, i: int) -> int:
     """The state of f^n * states[i], carried from what states[i] is a shift of."""
     j = table.shifts.get((n, i))
     if j is None:
-        j = table.shifts[n, i] = table.state(table.states[i].scale(_power(f, n)))
+        j = table.shifts[n, i] = table.state(table.states[i].scale(f**n))
         m, k = table.carry.get(i, (0, i))
         if j != k:  # a constant f or the zero ideal shifts a state onto itself
             table.carry.setdefault(j, (n + m, k))
@@ -252,27 +249,22 @@ def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ide
     """Iterate Phi from ``start`` until two consecutive values agree.
 
     Returns the trace [start, Phi(start), ...] ending with the repeated
-    value, as f's table keeps it in state numbers. Raises if no fixed point
-    appears within PHI_STEP_BUDGET steps (the chain is guaranteed to
-    stabilize, so this signals a bug).
+    value, walked on the state numbers of f's table, so a repeated trace
+    costs a table lookup per digit. Raises if no fixed point appears within
+    PHI_STEP_BUDGET steps (the chain is guaranteed to stabilize, so this
+    signals a bug).
     """
     table = _table(f)
-    key = a, beta, table.state(start)
-    trace = table.fixed.get(key)
-    if trace is None:
-        trace = [key[2]]
-        for _ in range(PHI_STEP_BUDGET):
-            trace.append(_walk(table, f, a, beta, trace[-1]))
-            if trace[-1] == trace[-2]:
-                break
-        else:
-            raise BudgetExceededError(
-                f"chain did not stabilize within {PHI_STEP_BUDGET} steps "
-                f"(a={a}, beta={beta}); the chain must stabilize, so report a bug"
-            )
-        trace = table.fixed[key] = tuple(trace)
-    states = table.states
-    return [states[k] for k in trace]
+    trace = [table.state(start)]
+    for _ in range(PHI_STEP_BUDGET):
+        trace.append(_walk(table, f, a, beta, trace[-1]))
+        if trace[-1] == trace[-2]:
+            states = table.states
+            return [states[k] for k in trace]
+    raise BudgetExceededError(
+        f"chain did not stabilize within {PHI_STEP_BUDGET} steps "
+        f"(a={a}, beta={beta}); the chain must stabilize, so report a bug"
+    )
 
 
 def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
@@ -284,7 +276,7 @@ def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
     key = c.numerator, c.denominator, left
     k = table.values.get(key)
     if k is None:
-        tokens = _step_memo.set(tables), _query_powers.set({})
+        token = _step_memo.set(tables)
         try:
             cf = canonicalize(c, f.ctx.p)
             q_minus = f.ctx.p**cf.beta - 1
@@ -296,8 +288,7 @@ def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
             trace = _phi_fixed_point(f, a, cf.beta, seed)
             k = table.values[key] = _walk(table, f, m, cf.d, table.state(trace[-1]))
         finally:
-            _query_powers.reset(tokens[1])
-            _step_memo.reset(tokens[0])
+            _step_memo.reset(token)
     return table.states[k]
 
 

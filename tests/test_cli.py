@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -99,6 +100,18 @@ class TestJsonOutput:
     def test_orbit_out_of_range(self, capsys):
         code, _, err = run(capsys, "orbit", "-p", "2", "-m", "1", "7/3")
         assert code == 2
+
+    def test_jumps_json_digest_over_the_tau_pool(self, capsys):
+        # every distinct (p, vars, f) of the benchmark's tau pool, in sorted
+        # order: the sha256 of the concatenated outputs pins all the answers
+        pool = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "tau_pool.json"
+        queries = json.loads(pool.read_text())["queries"]
+        digest = hashlib.sha256()
+        for p, names, f in sorted({(q["p"], tuple(q["vars"]), q["f"]) for q in queries}):
+            code = main(["jumps", "-p", str(p), "--vars", ",".join(names), "-B", "2", "--json", f])
+            assert code == 0, (p, names, f)
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest()[:16] == "6a16e324ec421bca"
 
     def test_chain_json(self, capsys):
         code, out, _ = run(capsys, "chain", "-p", "2", "-a", "3", "-b", "1", "--json", "x")

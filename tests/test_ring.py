@@ -68,6 +68,15 @@ class TestArithmetic:
         assert f**1 == f
         assert (Polynomial.zero(ctx3) ** 5).is_zero()
 
+    def test_pow_one_is_self(self, ctx3, monkeypatch):
+        # f**1 is the most common Skoda shift: it builds no digit power
+        def refused(g, d):
+            raise AssertionError(f"built {g}^{d}")
+
+        f = poly(ctx3, "x + 2y^2")
+        monkeypatch.setattr(Polynomial, "_small_pow", refused)
+        assert f**1 is f
+
     def test_context_mismatch(self, ctx2, ctx3):
         with pytest.raises(ValueError, match="mismatch"):
             poly(ctx2, "x") + poly(ctx3, "x")

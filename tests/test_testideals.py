@@ -994,42 +994,40 @@ class TestSharedRoots:
             (5, "x^4+x^2*y^2+y^4", Fraction(19, 24)),
         ],
     )
-    def test_query_builds_each_digit_power_once(self, monkeypatch, p, text, c):
-        built, steps = {}, []
+    def test_monomial_steps_build_powers_only_for_dependent_f(self, monkeypatch, p, text, c):
+        built, steps = [], []
         real_pow, real_step = Polynomial._small_pow, testideals._digit_step
 
         def counted_pow(g, d):
-            built[g, d] = built.get((g, d), 0) + 1
+            built.append(d)
             return real_pow(g, d)
 
         def counted_step(f, d, J, free=None):
-            before = sum(built.values())
+            before = len(built)
             root = real_step(f, d, J, free)
             monomial = all(len(g.terms) == 1 for g in J.generators)
-            steps.append((d, monomial, sum(built.values()) - before))
+            steps.append((d, monomial, len(built) - before))
             return root
 
         monkeypatch.setattr(Polynomial, "_small_pow", counted_pow)
         monkeypatch.setattr(testideals, "_digit_step", counted_step)
         f = poly(RingContext(p, ("x", "y")), text)
         tau(f, c)
-        assert max(built.values(), default=1) == 1
+        monomial_steps = [pows for d, monomial, pows in steps if d > 1 and monomial]
+        assert monomial_steps
         if frobenius.independent_differences(f):
             # steps on monomial states come from exponents alone
-            assert any(d for d, monomial, _ in steps if monomial)
-            assert not any(pows for _, monomial, pows in steps if monomial)
+            assert not any(monomial_steps)
         else:
-            # the Phi iterates take some digit step more than once
-            assert built and len([d for d, _, _ in steps if d]) > len(built)
+            # a dependent f builds f^d for each of them
+            assert all(monomial_steps)
         assert testideals._step_memo.get() is None
-        assert testideals._query_powers.get() is None
 
     def test_budget_error_closes_the_query_block(self, ctx3, monkeypatch):
         monkeypatch.setattr(testideals, "PHI_STEP_BUDGET", 0)
         with pytest.raises(BudgetExceededError):
             tau(poly(ctx3, "x^2+y^3"), Fraction(1, 2))
         assert testideals._step_memo.get() is None
-        assert testideals._query_powers.get() is None
 
     def test_table_memos_match_calls_outside_a_block(self):
         # the block asks everything twice, so the second round reads the Phi
@@ -1061,8 +1059,8 @@ class TestSharedRoots:
                     for _ in range(2):
                         assert answers() == expected
 
-    def test_repeats_take_no_walk_and_no_normal_form(self, ctx3, monkeypatch):
-        walks, forms, fixed = [], [], []
+    def test_repeats_take_no_step_and_no_normal_form(self, ctx3, monkeypatch):
+        steps, forms, fixed = [], [], []
 
         def counting(owner, name, log):
             real = getattr(owner, name)
@@ -1073,8 +1071,10 @@ class TestSharedRoots:
 
             monkeypatch.setattr(owner, name, counted)
 
-        counting(testideals, "_walk", walks)
+        counting(testideals, "frobenius_root_ideal", steps)
+        counting(testideals, "_digit_step", steps)
         counting(ideals, "normal_form", forms)
+        # tau's own binding: chain calls Phi through the one chains imports
         counting(testideals, "_phi_fixed_point", fixed)
         f = poly(ctx3, "x^2+y^3")
 
@@ -1086,9 +1086,10 @@ class TestSharedRoots:
 
         with testideals.shared_roots():
             first = answers()
-            assert walks and forms and fixed
-            walks.clear(), forms.clear(), fixed.clear()
-            # a repeated fixed point walks no digit, a repeated containment
-            # takes no normal form, and a repeated tau starts no Phi chain
+            assert steps and forms and fixed
+            steps.clear(), forms.clear(), fixed.clear()
+            # a repeated chain walks its trace on known steps, a repeated
+            # containment takes no normal form, and a repeated tau starts no
+            # Phi chain
             assert answers() == first
-            assert walks == forms == fixed == []
+            assert steps == forms == fixed == []
