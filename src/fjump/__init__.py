@@ -21,7 +21,6 @@ from .digits import (
     reconstruct,
 )
 from .frobenius import (
-    frobenius_decompose,
     frobenius_root_ideal,
     frobenius_root_poly,
 )

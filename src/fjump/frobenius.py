@@ -28,6 +28,13 @@ and fall elsewhere: only i = r and each i whose successor steps a rising
 coordinate up can be minimal, at most deg f + 1 of them whatever p is. At
 d = 0, and for a one-term f (any d), the one outer monomial is
 (d*u + w) div p.
+
+Every other root builds each product h^d*g with ``Polynomial.__mul__`` and
+splits it by class, as ``frobenius_root_poly`` splits f: that one is the
+definition, each part a generator, and the tests check the rest against
+it. At e = 1 such a root is <1> before h^d is built when some nonzero
+generator g has d*deg_x(h) + deg_x(g) < p in every variable x: each term
+of h^d*g is then alone in its class, with outer monomial 1.
 """
 
 from __future__ import annotations
@@ -37,31 +44,22 @@ from operator import add
 
 from . import ring
 from .ideals import Ideal, minimal_monomials
-from .ring import BudgetExceededError, Monomial, Polynomial, _accumulate
+from .ring import BudgetExceededError, Monomial, Polynomial
 
-def _split(f: Polynomial, e: int, h: Polynomial | None = None) -> dict[Monomial, dict]:
-    """The nonzero terms c*x^mu of f, or of h*f without building it, by residue
-    class: {lam: {mu div p^e: c}} with lam = mu mod p^e."""
+def _split(f: Polynomial, e: int) -> dict[Monomial, dict]:
+    """The terms c*x^mu of f by residue class: {lam: {mu div p^e: c}} with
+    lam = mu mod p^e."""
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
     terms = f.terms
-    if h is not None:
-        a, b = sorted((h.terms, terms), key=len)
-        # times the constant 1, the generator of <1>, b's terms are h*f's
-        one = a == {(0,) * f.ctx.nvars: 1}
-        terms = b if one else _accumulate([(m, c, b) for m, c in a.items()])
     if e > 1:  # level 1, the only one the kernel takes, needs no cap
         # once p^e passes every exponent, each term is its own class with outer
         # exponent 0, so no level past the largest exponent's bit length differs
         e = min(e, max(map(max, terms), default=0).bit_length())
-    p = f.ctx.p
-    q = p**e
+    q = f.ctx.p**e
     split: dict[Monomial, dict[Monomial, int]] = {}
     for mono, c in terms.items():
-        if c := c % p:
-            lam = tuple([x % q for x in mono])
-            outer = tuple([x // q for x in mono])
-            split.setdefault(lam, {})[outer] = c
+        split.setdefault(tuple([x % q for x in mono]), {})[tuple([x // q for x in mono])] = c
     return split
 
 
@@ -125,14 +123,9 @@ def root_monomials(us: list[Monomial], d: int, p: int, ws) -> set[Monomial]:
     return outers
 
 
-def frobenius_decompose(f: Polynomial, e: int) -> dict[Monomial, Polynomial]:
-    """The parts {lam: g_lam} of the split f = sum_lam g_lam^(p^e) * x^lam."""
-    return {lam: Polynomial(f.ctx, terms, _canonical=True) for lam, terms in _split(f, e).items()}
-
-
 def frobenius_root_poly(f: Polynomial, e: int) -> Ideal:
-    """The minimal ideal I with I^{[p^e]} containing f."""
-    return Ideal(f.ctx, tuple(frobenius_decompose(f, e).values()))
+    """The minimal ideal I with I^{[p^e]} containing f: the ideal of its parts."""
+    return Ideal(f.ctx, tuple(Polynomial(f.ctx, terms, _canonical=True) for terms in _split(f, e).values()))
 
 
 def frobenius_root_ideal(
@@ -149,7 +142,8 @@ def frobenius_root_ideal(
     monomials times h^d comes from exponents alone when h has one term, d is
     0, or d < p and h's exponent differences are independent mod p. ``free``
     says whether they are, for a caller that knows; otherwise it is decided
-    here.
+    here. Any other root at e = 1 is <1>, before h^d is built, when some
+    generator g has d*deg_x(h) + deg_x(g) < p in every variable x.
     """
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
@@ -168,9 +162,14 @@ def frobenius_root_ideal(
         if not all(map(any, monomials)):
             return Ideal.unit(ctx)
     else:
-        h = h**d if d > 1 else h
+        if e == 1 and us:  # us is empty for a zero h, whose product is 0
+            top = [d * max(col) for col in zip(*us)]
+            for g in I.generators:
+                if g.terms and all(a + max(col) < p for a, col in zip(top, zip(*g.terms))):
+                    return Ideal.unit(ctx)
+        power = h**d if d > 1 else h
         for g in I.generators:
-            for terms in _split(g, e, h).values():
+            for terms in _split(g if power is None else power * g, e).values():
                 if len(terms) > 1:
                     parts.append(Polynomial(ctx, terms, _canonical=True))
                     continue

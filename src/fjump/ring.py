@@ -3,7 +3,8 @@
 Coefficients are plain ints in [1, p); monomials are exponent tuples of
 length n with unbounded non-negative entries. Polynomials are immutable
 after construction and safe to share across threads. One kernel,
-``_shifted_sum``, does every sum, product and term scaling; ``__pow__``
+``_shifted_sum``, does every sum, product and term scaling, the products
+h^d*g that a Frobenius root splits by class among them; ``__pow__``
 refuses any power whose term bound passes ``EXPANSION_TERM_BUDGET``. A
 digit power f^d is written down term by term from the multinomial theorem,
 or, for f of three or more terms, built by repeated squaring when that takes
@@ -93,20 +94,15 @@ def _check_same_context(a: Polynomial, b: Polynomial):
         raise ValueError(f"ring context mismatch: {a.ctx!r} vs {b.ctx!r}")
 
 
-def _accumulate(parts) -> dict[Monomial, int]:
-    """``_shifted_sum`` before its coefficients are reduced mod p."""
+def _shifted_sum(parts, p: int) -> dict[Monomial, int]:
+    """The terms of sum c * x^m * g over (m, c, terms of g) in parts, mod p."""
     out: dict[Monomial, int] = {}
     for m, c, g in parts:
         shift = any(m)
         for mono, coeff in g.items():
             key = tuple(map(add, mono, m)) if shift else mono
             out[key] = out.get(key, 0) + c * coeff
-    return out
-
-
-def _shifted_sum(parts, p: int) -> dict[Monomial, int]:
-    """The terms of sum c * x^m * g over (m, c, terms of g) in parts, mod p."""
-    return {mono: r for mono, c in _accumulate(parts).items() if (r := c % p)}
+    return {mono: r for mono, c in out.items() if (r := c % p)}
 
 
 def _combine(ctx: RingContext, parts) -> Polynomial:

@@ -166,11 +166,6 @@ def _contains(f: Polynomial, I: Ideal, J: Ideal) -> bool:
     return known
 
 
-def _digit_step(f: Polynomial, d: int, J: Ideal, free: bool | None = None) -> Ideal:
-    """I_1(f^d * J); ``_DigitTable.state`` gives it its basis as generators."""
-    return frobenius_root_ideal(J, 1, f, d, free)
-
-
 def _shift(table: _DigitTable, f: Polynomial, n: int, i: int) -> int:
     """The state of f^n * states[i], carried from what states[i] is a shift of."""
     j = table.shifts.get((n, i))
@@ -188,7 +183,7 @@ def _step(table: _DigitTable, f: Polynomial, d: int, i: int) -> int:
     if j is None:
         carried = table.carry.get(i)
         if carried is None:
-            j = table.state(_digit_step(f, d, table.states[i], table.free))
+            j = table.state(frobenius_root_ideal(table.states[i], 1, f, d, table.free))
         else:
             n, k = carried
             q, r = divmod(d + n, f.ctx.p)

@@ -43,7 +43,7 @@ def random_ideal(rng: random.Random, ctx: RingContext, max_gens=3, max_exp=4) ->
 
 
 def reassemble(ctx: RingContext, parts: dict, e: int) -> Polynomial:
-    """sum over lam of parts[lam]^(p^e) * x^lam, undoing frobenius_decompose."""
+    """sum over lam of parts[lam]^(p^e) * x^lam, undoing ``oracles.decompose``."""
     total = Polynomial.zero(ctx)
     for lam, g in parts.items():
         total = total + g.frobenius_stretch(e).scale_term(lam)

@@ -1,8 +1,10 @@
 """Slow reference computations that only the tests use as oracles.
 
-``nu(f, J, e)`` brackets a test-ideal threshold from the membership of
-powers of f in the Frobenius power J^[p^e]; no command computes it, so it
-lives here rather than in the package. ``interval_candidates`` is the
+``decompose(f, e)`` splits f over the p^e-th powers term by term, the
+split that ``frobenius_root_poly`` takes the parts of. ``nu(f, J, e)``
+brackets a test-ideal threshold from the membership of powers of f in the
+Frobenius power J^[p^e]; no command computes it, so it lives here rather
+than in the package. ``interval_candidates`` is the
 candidate ranking by Fraction values that ``testideals`` replaced with
 integer keys.
 """
@@ -13,6 +15,18 @@ from fjump import BudgetExceededError, Ideal, Polynomial
 
 # nu doubles its exponent up to this before it calls f outside the radical of J
 NU_EXPONENT_BUDGET = 1 << 20
+
+
+def decompose(f: Polynomial, e: int) -> dict:
+    """The parts {lam: g_lam} of f = sum_lam g_lam^(p^e) * x^lam: the term
+    c*x^mu adds c*x^(mu div p^e) to the part of lam = mu mod p^e."""
+    q = f.ctx.p**e
+    parts: dict = {}
+    for mu, c in f.terms.items():
+        lam = tuple(x % q for x in mu)
+        term = Polynomial(f.ctx, {tuple(x // q for x in mu): c})
+        parts[lam] = parts[lam] + term if lam in parts else term
+    return parts
 
 
 def bracket_power(I: Ideal, q: int) -> Ideal:

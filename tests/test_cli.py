@@ -286,11 +286,21 @@ class TestExitCodes:
     def test_dense_digit_power_budget(self, capsys, command):
         # five exponents in three variables have dependent differences, so the
         # digit steps build f^d: at p=1009 both take f^504 or f^505, whose term
-        # bound C(1011, 3) or more passes 2^20 (a scan root is at r = 504)
+        # bound C(1515, 3) or more passes 2^20 (a scan root is at r = 504). f
+        # has degree 3 in x and 504*3 >= 1009: no unit root from degrees
         start = time.perf_counter()
-        code, out, err = run(capsys, *command.split(), "-p", "1009", "x+y+z+x*y+1")
+        code, out, err = run(capsys, *command.split(), "-p", "1009", "x^3+y+z+x*y+1")
         assert time.perf_counter() - start < 2
         assert code == 4 and out == "" and "expanding f" in err
+
+    def test_unit_root_from_degrees(self, capsys):
+        # f = (1+x)(1+y) + z has dependent differences, but d*deg_v f < p in
+        # every variable v for every digit d, so each step's root is <1> before
+        # f^d is built: its fpt is 1
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "fpt", "-p", "101", "x+y+z+x*y+1")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out == "1"
 
     @pytest.mark.parametrize(
         ("command", "answer"), [("tau -c 1/2", "1"), ("jumps -B 1", "1: 1 -> x + y + z + 1")]

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from fjump import (
     Ideal,
     Polynomial,
     RingContext,
-    frobenius_decompose,
+    frobenius,
     frobenius_root_ideal,
     frobenius_root_poly,
     reduced_groebner,
@@ -16,25 +17,34 @@ from fjump import (
 )
 
 from conftest import ideal, poly, random_ideal, random_poly, reassemble
-from oracles import bracket_power
+from oracles import bracket_power, decompose
+
+
+def split(f, e):
+    """The kernel's split of f as {lam: part}, to compare with ``decompose``."""
+    return {lam: Polynomial(f.ctx, terms) for lam, terms in frobenius._split(f, e).items()}
 
 
 class TestDecompose:
+    # the kernel's split against the per-term div/mod of ``oracles.decompose``;
+    # the root of f is generated by every part of it
     def test_cusp_char2(self, ctx2):
-        parts = frobenius_decompose(poly(ctx2, "x^2 + y^3"), 1)
-        assert parts == {(0, 0): poly(ctx2, "x"), (0, 1): poly(ctx2, "y")}
+        f = poly(ctx2, "x^2 + y^3")
+        assert split(f, 1) == decompose(f, 1) == {(0, 0): poly(ctx2, "x"), (0, 1): poly(ctx2, "y")}
 
     def test_single_monomial(self):
         ctx = RingContext(2, ("x",))
-        parts = frobenius_decompose(poly(ctx, "x^5"), 2)
-        assert parts == {(1,): poly(ctx, "x")}
+        f = poly(ctx, "x^5")
+        assert split(f, 2) == decompose(f, 2) == {(1,): poly(ctx, "x")}
 
     def test_zero(self, ctx2):
-        assert frobenius_decompose(Polynomial.zero(ctx2), 1) == {}
+        zero = Polynomial.zero(ctx2)
+        assert split(zero, 1) == decompose(zero, 1) == {}
+        assert frobenius_root_poly(zero, 1).generators == ()
 
     def test_invalid_level(self, ctx2):
         with pytest.raises(ValueError):
-            frobenius_decompose(poly(ctx2, "x"), 0)
+            frobenius_root_poly(poly(ctx2, "x"), 0)
 
     def test_reconstruction_oracle(self):
         rng = random.Random(13)
@@ -43,7 +53,10 @@ class TestDecompose:
             for e in (1, 2, 3):
                 for _ in range(10):
                     f = random_poly(rng, ctx, max_terms=5, max_exp=9)
-                    assert reassemble(ctx, frobenius_decompose(f, e), e) == f
+                    parts = decompose(f, e)
+                    assert reassemble(ctx, parts, e) == f
+                    assert split(f, e) == parts
+                    assert Counter(frobenius_root_poly(f, e).generators) == Counter(parts.values())
 
     def test_levels_past_the_largest_exponent(self):
         # from the bit length L of the largest exponent on, p^e exceeds every
@@ -55,8 +68,9 @@ class TestDecompose:
                 f = random_poly(rng, ctx, max_terms=5, max_exp=20)
                 top = max(map(max, f.terms)).bit_length()
                 own = {m: Polynomial(ctx, {(0, 0): c}) for m, c in f.terms.items()}
+                assert decompose(f, top) == own
                 for e in (top, top + 1, top + 7, 10**12):
-                    assert frobenius_decompose(f, e) == own
+                    assert split(f, e) == own
 
 
 class TestRootOfPolynomial:
@@ -109,7 +123,7 @@ class TestRootOfIdeal:
                     hq = random_poly(rng, ctx, max_terms=3, max_exp=3).frobenius_stretch(e)
                     f = hq.scale_term((1, 0)) + Polynomial(ctx, {lam: rng.randint(1, p - 1)})
                     I = Ideal(ctx, (random_poly(rng, ctx), f))
-                    parts = [h for g in I.generators for h in frobenius_decompose(g, e).values()]
+                    parts = [h for g in I.generators for h in decompose(g, e).values()]
                     root = frobenius_root_ideal(I, e)
                     assert root == Ideal(ctx, parts)
                     assert root.is_unit() or lam == (1, 0)
@@ -138,7 +152,7 @@ class TestRootOfIdeal:
                                 outer[rng.randrange(n)] = rng.randint(1, 3)
                             terms[tuple(o * q + x for o, x in zip(outer, lam))] = rng.randint(1, p - 1)
                     gens.append(Polynomial(ctx, terms))
-                parts = [h for g in gens for h in frobenius_decompose(g, e).values()]
+                parts = [h for g in gens for h in decompose(g, e).values()]
                 root = frobenius_root_ideal(Ideal(ctx, tuple(gens)), e)
                 assert root == Ideal(ctx, parts), (kind, gens, e)
                 monomials = [m for g in root.generators if len(g.terms) == 1 for m in g.terms]
@@ -201,6 +215,42 @@ class TestExponentSteps:
         monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", 55)
         with pytest.raises(BudgetExceededError, match="expanding f"):
             frobenius_root_ideal(J, 1, f, 6)
+
+
+class TestUnitRootFromDegrees:
+    def test_matches_definition(self, monkeypatch):
+        # at e = 1 the root of h^d*J is <1>, before h^d is built, when some
+        # nonzero generator g of J has d*deg_v(h) + deg_v(g) < p in every
+        # variable v; against the parts of every h^d*g built and split
+        rng = random.Random(8191)
+        powers = []
+        real_pow = Polynomial.__pow__
+
+        def counted(g, n):
+            powers.append(n)
+            return real_pow(g, n)
+
+        monkeypatch.setattr(Polynomial, "__pow__", counted)
+        fired = {True: 0, False: 0}
+        for _ in range(300):
+            p = rng.choice((2, 3, 5, 7, 11, 13))
+            ctx = RingContext(p, ("x", "y", "z")[: rng.randint(1, 3)])
+            h = random_poly(rng, ctx, max_terms=4, max_exp=2) if rng.random() < 0.9 else Polynomial.zero(ctx)
+            gens = [random_poly(rng, ctx, max_terms=3, max_exp=p) for _ in range(rng.randint(1, 3))]
+            gens += [Polynomial.zero(ctx)] * rng.randint(0, 1)
+            d = rng.randrange(p + 2)
+            top = [d * max(col) for col in zip(*h.terms)] if d else [0] * ctx.nvars
+            low = (not d or h.terms) and any(
+                g.terms and all(a + max(col) < p for a, col in zip(top, zip(*g.terms))) for g in gens
+            )
+            definition = Ideal(ctx, [part for g in gens for part in decompose(real_pow(h, d) * g, 1).values()])
+            powers.clear()
+            root = frobenius_root_ideal(Ideal(ctx, gens), 1, h, d)
+            assert root == definition, (h, d, gens)
+            if low:
+                assert root.is_unit() and not powers, (h, d, gens)
+            fired[bool(low)] += 1
+        assert min(fired.values()) >= 50, fired
 
 
 class TestStarAndMinimality:

@@ -8,7 +8,6 @@ from fjump import (
     Ideal,
     Polynomial,
     RingContext,
-    frobenius_decompose,
     grevlex_key,
     ideals,
     normal_form,
@@ -16,7 +15,7 @@ from fjump import (
 )
 
 from conftest import ideal, poly, random_ideal, random_poly
-from oracles import bracket_power
+from oracles import bracket_power, decompose
 
 
 class TestReducedGroebner:
@@ -201,7 +200,7 @@ class TestRootLikeInputs:
                     f = random_poly(rng, ctx, max_terms=4, max_exp=2)
                     g = random_poly(rng, ctx, max_terms=3, max_exp=3)
                     product = f ** rng.randint(p, 3 * p) * g
-                    parts = list(frobenius_decompose(product, 1).values())
+                    parts = list(decompose(product, 1).values())
                     gens = self.draws(rng, parts, p)
                     gb = reduced_groebner(gens, ctx)
                     assert reduced_groebner(self.draws(rng, parts, p), ctx) == gb
@@ -225,7 +224,7 @@ class TestRootLikeInputs:
                 for _ in range(6):
                     f = random_poly(rng, ctx, max_terms=4, max_exp=2)
                     g = random_poly(rng, ctx, max_terms=3, max_exp=3)
-                    parts = list(frobenius_decompose(f ** rng.randint(p, 3 * p) * g, 1).values())
+                    parts = list(decompose(f ** rng.randint(p, 3 * p) * g, 1).values())
                     pairs = list(itertools.permutations(parts, 2))
                     triples = list(itertools.combinations(parts, 3))
                     gens = self.draws(rng, parts, p)

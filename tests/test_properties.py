@@ -3,6 +3,7 @@ the test ideals tau(f^c)."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from fjump import (  # noqa: E402
     Ideal,
     Polynomial,
     RingContext,
-    frobenius_decompose,
     frobenius_root_ideal,
     frobenius_root_poly,
     reduced_groebner,
@@ -25,6 +25,7 @@ from fjump.ideals import _s_poly, minimal_monomials, normal_form  # noqa: E402
 from fjump.ring import grevlex_key  # noqa: E402
 
 from conftest import poly, reassemble  # noqa: E402
+from oracles import decompose  # noqa: E402
 
 settings = hypothesis.settings(
     derandomize=True, database=None, deadline=None, max_examples=60
@@ -54,10 +55,12 @@ def ctx_and_polys(draw, count, **kwargs):
 def test_decompose_reassembles(case, e):
     ctx, (f,) = case
     q = ctx.p**e
-    parts = frobenius_decompose(f, e)
+    parts = decompose(f, e)
     for lam, g in parts.items():
         assert all(0 <= x < q for x in lam) and not g.is_zero()
     assert reassemble(ctx, parts, e) == f
+    # the root of f is generated by exactly these parts
+    assert Counter(frobenius_root_poly(f, e).generators) == Counter(parts.values())
 
 
 def _padded(draw, gens, ctx):
@@ -91,7 +94,7 @@ ROOT_CONTEXTS = [
 
 def _root_by_definition(ctx, h, gens, e):
     """I_e(h*J): the ideal of the parts of h*g over the generators g of J."""
-    return Ideal(ctx, [part for g in gens for part in frobenius_decompose(h * g, e).values()])
+    return Ideal(ctx, [part for g in gens for part in decompose(h * g, e).values()])
 
 
 @pytest.mark.parametrize("ctx", ROOT_CONTEXTS, ids=repr)

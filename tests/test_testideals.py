@@ -766,7 +766,7 @@ class TestBinomialStep:
             f, J = _binomial_and_state(rng, p)
             digits = range(p) if p < 100 else rng.sample(range(p), 12)
             for d in digits:
-                root = testideals._digit_step(f, d, J)
+                root = testideals.frobenius_root_ideal(J, 1, f, d)
                 assert root == frobenius_root_ideal(J, 1, f**d), (f, d, J)
                 # the minimal monomials are the reduced basis
                 assert root.generators == root.groebner_basis()
@@ -781,21 +781,25 @@ class TestBinomialStep:
             general.append(h)
             return real(I, e, h, d, free)
 
-        def counted_split(g, e, h=None):
-            splits.append(h)
-            return real_split(g, e, h)
+        def counted_split(g, e):
+            splits.append(g)
+            return real_split(g, e)
 
         monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
         monkeypatch.setattr(frobenius, "_split", counted_split)
         for _ in range(8):
             f, J = _binomial_and_state(rng, p, congruent=True)
+            table = testideals._DigitTable(f)
+            i = table.state(J)
             for d in range(p):
                 expected = real(J, 1, f**d)
                 general.clear()
                 splits.clear()
-                assert testideals._digit_step(f, d, J) == expected, (f, d, J)
+                assert table.states[testideals._step(table, f, d, i)] == expected, (f, d, J)
                 assert len(general) == 1
-                # d = 0 is read off the exponents; every other d splits f^d * J
+                # d = 0 is read off the exponents; every other d splits f^d * J.
+                # u = v mod p with u != v gives f degree >= p in some variable,
+                # so the degree rule for a unit root never fires at d > 0
                 assert bool(splits) == bool(d)
 
     def test_monomial_step_builds_no_power(self, monkeypatch):
@@ -807,7 +811,7 @@ class TestBinomialStep:
             raise AssertionError(f"built {g}^{d}")
 
         monkeypatch.setattr(Polynomial, "_small_pow", refused)
-        assert [testideals._digit_step(f, d, J) for d in range(5)] == expected
+        assert [testideals.frobenius_root_ideal(J, 1, f, d) for d in range(5)] == expected
 
 
 class TestCarriedSteps:
@@ -963,13 +967,13 @@ class TestSharedRoots:
 
     def test_enumerations_share_nothing(self, ctx3, monkeypatch):
         calls = []
-        real = testideals._digit_step
+        real = testideals.frobenius_root_ideal
 
-        def counted(f, d, J, free=None):
+        def counted(J, e, f=None, d=1, free=None):
             calls.append(d)
-            return real(f, d, J, free)
+            return real(J, e, f, d, free)
 
-        monkeypatch.setattr(testideals, "_digit_step", counted)
+        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
         f = poly(ctx3, "x^2+y^3")
         counts = []
         for _ in range(2):
@@ -996,21 +1000,21 @@ class TestSharedRoots:
     )
     def test_monomial_steps_build_powers_only_for_dependent_f(self, monkeypatch, p, text, c):
         built, steps = [], []
-        real_pow, real_step = Polynomial._small_pow, testideals._digit_step
+        real_pow, real_step = Polynomial._small_pow, testideals.frobenius_root_ideal
 
         def counted_pow(g, d):
             built.append(d)
             return real_pow(g, d)
 
-        def counted_step(f, d, J, free=None):
+        def counted_step(J, e, f=None, d=1, free=None):
             before = len(built)
-            root = real_step(f, d, J, free)
+            root = real_step(J, e, f, d, free)
             monomial = all(len(g.terms) == 1 for g in J.generators)
             steps.append((d, monomial, len(built) - before))
             return root
 
         monkeypatch.setattr(Polynomial, "_small_pow", counted_pow)
-        monkeypatch.setattr(testideals, "_digit_step", counted_step)
+        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted_step)
         f = poly(RingContext(p, ("x", "y")), text)
         tau(f, c)
         monomial_steps = [pows for d, monomial, pows in steps if d > 1 and monomial]
@@ -1072,7 +1076,6 @@ class TestSharedRoots:
             monkeypatch.setattr(owner, name, counted)
 
         counting(testideals, "frobenius_root_ideal", steps)
-        counting(testideals, "_digit_step", steps)
         counting(ideals, "normal_form", forms)
         # tau's own binding: chain calls Phi through the one chains imports
         counting(testideals, "_phi_fixed_point", fixed)
