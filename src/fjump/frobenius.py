@@ -29,12 +29,13 @@ coordinate up can be minimal, at most deg f + 1 of them whatever p is. At
 d = 0, and for a one-term f (any d), the one outer monomial is
 (d*u + w) div p.
 
-Every other root builds each product h^d*g with ``Polynomial.__mul__`` and
-splits it by class, as ``frobenius_root_poly`` splits f: that one is the
-definition, each part a generator, and the tests check the rest against
-it. At e = 1 such a root is <1> before h^d is built when some nonzero
-generator g has d*deg_x(h) + deg_x(g) < p in every variable x: each term
-of h^d*g is then alone in its class, with outer monomial 1.
+Every other root builds each product h^d*g with ``Polynomial.__mul__``,
+taking h^d itself for g = 1, and splits it by class, as
+``frobenius_root_poly`` splits f: that one is the definition, each part a
+generator, and the tests check the rest against it. At e = 1 such a root
+is <1> before h^d is built when some nonzero generator g has
+d*deg_x(h) + deg_x(g) < p in every variable x: each term of h^d*g is then
+alone in its class, with outer monomial 1.
 """
 
 from __future__ import annotations
@@ -167,9 +168,11 @@ def frobenius_root_ideal(
             for g in I.generators:
                 if g.terms and all(a + max(col) < p for a, col in zip(top, zip(*g.terms))):
                     return Ideal.unit(ctx)
-        power = h**d if d > 1 else h
+        power, one = h**d if d > 1 else h, Polynomial.one(ctx)
         for g in I.generators:
-            for terms in _split(g if power is None else power * g, e).values():
+            if power is not None:
+                g = power if g == one else power * g
+            for terms in _split(g, e).values():
                 if len(terms) > 1:
                     parts.append(Polynomial(ctx, terms, _canonical=True))
                     continue

@@ -364,42 +364,24 @@ class JumpReport:
 
 
 def _interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
-    """Exact rationals in ((r-1)/p^e, r/p^e] worth confirming as jumps.
+    """The right end r/p^e of ((r-1)/p^e, r/p^e], then, for beta = 1..e in
+    order and without repeats, each value strictly inside it of the form
 
-    The interval pins the first e base-p digits of a jump inside it: those
-    of n = r - 1. The candidates are the right endpoint, then each periodic
-    extension of the digits with preperiod d and period beta, d + beta <= e,
-    ranked by (d + beta, d, value) at the least (d, beta) giving the value.
-    Every beta <= e qualifies at d = e - beta; its least d lies just past the
-    last place that differs from the place beta before it. Closed form: if
-    places d..e-1 have period beta, so does the extension, and as
-    d <= e - beta its places past e repeat the last beta places,
-    the number n mod p^beta. The extension is therefore
+        (n + (n mod p^beta) / (p^beta - 1)) / p^e,    n = r - 1,
 
-        (n + (n mod p^beta) / (p^beta - 1)) / p^e,
-
-    a function of beta alone: the left endpoint when n mod p^beta = 0, the
-    right one when it is p^beta - 1, and strictly inside otherwise. A value
-    is keyed by (n mod p^beta) / (p^beta - 1) in lowest terms. Each beta
-    gives one value, so distinct values never tie on (d + beta, d) and the
-    ranking never reads a value: a Fraction is built only for each one
-    returned.
+    the extension with period beta of n's e base-p digits, those the
+    interval pins. Their order changes no answer: at most one candidate
+    reproduces the interval's end values T_lo, which strictly contains T_hi,
+    since c1 < c2 doing both would make T_hi = tau(f^c1) contain
+    tau(f^(c2-)) = T_lo.
     """
     n, q = r - 1, p**e
-    digits = [(n // p ** (e - 1 - i)) % p for i in range(e)]
-    # tail / (p^beta - 1) in lowest terms -> (d + beta, d, beta)
-    first: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for beta in range(1, e + 1):
-        tail, period = n % p**beta, p**beta - 1
-        if not 0 < tail < period:
-            continue
-        d = max((i - beta + 1 for i in range(beta, e) if digits[i] != digits[i - beta]), default=0)
-        g = math.gcd(tail, period)
-        key = tail // g, period // g
-        if key not in first or d < first[key][1]:
-            first[key] = (d + beta, d, beta)
-    ranked = [beta for *_, beta in sorted(first.values())]
-    return [Fraction(r, q)] + [Fraction(n * (p**b - 1) + n % p**b, q * (p**b - 1)) for b in ranked]
+    inside = (
+        Fraction(n * (p**b - 1) + n % p**b, q * (p**b - 1))
+        for b in range(1, e + 1)
+        if 0 < n % p**b < p**b - 1
+    )
+    return list(dict.fromkeys([Fraction(r, q), *inside]))
 
 
 def _drops(f: Polynomial, e: int, lo: int, hi: int, t_lo: Ideal, t_hi: Ideal) -> list:
@@ -436,11 +418,14 @@ def enumerate_jumps(
     The interval ((r-1)/p^e, r/p^e] of a drop is resolved when a candidate
     c has tau's left limit and value at c equal to the interval's end values,
     compared as states of f's digit table, which certifies c as its only
-    jump; is_jumping then builds the Jump from the memo. Every candidate
+    jump; is_jumping then builds the Jump from the memo. At most one
+    candidate can match, so their order changes no answer. Every candidate
     tested must have a left limit containing tau, or a bug is reported.
     Otherwise the interval's p children one level deeper are bisected from
     its end values, up to ``depth``, where what is left is returned as
-    unresolved. Reported jumps are always confirmed exactly.
+    unresolved: cut to (lo, bound] when it passes the bound, and dropped
+    when tau at the bound still equals its left end value.
+    Reported jumps are always confirmed exactly.
     """
     _require_nonzero(f)
     if f.is_constant():
@@ -472,8 +457,11 @@ def enumerate_jumps(
             else:
                 if e < depth:
                     queue.extend(_drops(f, e + 1, (r - 1) * p, r * p, t_lo, t_hi))
-                elif Fraction(r - 1, p**e) < bound:
-                    unresolved.append((Fraction(r - 1, p**e), min(Fraction(r, p**e), bound)))
+                    continue
+                lo, hi = Fraction(r - 1, p**e), Fraction(r, p**e)
+                # past an off-grid bound, (lo, bound] holds a jump only if tau drops by the bound
+                if hi <= bound or lo < bound and table.state(_tau_split(f, bound, left=False)) != ends[0]:
+                    unresolved.append((lo, min(hi, bound)))
 
     jumps = [j for j in jumps if j.c <= bound]
     jumps.sort(key=lambda j: j.c)

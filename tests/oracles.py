@@ -4,12 +4,8 @@
 split that ``frobenius_root_poly`` takes the parts of. ``nu(f, J, e)``
 brackets a test-ideal threshold from the membership of powers of f in the
 Frobenius power J^[p^e]; no command computes it, so it lives here rather
-than in the package. ``interval_candidates`` is the
-candidate ranking by Fraction values that ``testideals`` replaced with
-integer keys.
+than in the package.
 """
-
-from fractions import Fraction
 
 from fjump import BudgetExceededError, Ideal, Polynomial
 
@@ -98,21 +94,3 @@ def nu(f: Polynomial, J: Ideal, e: int) -> int:
         else:
             lo = mid
     return lo
-
-
-def interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
-    """The candidates of ``testideals._interval_candidates``, ranked by
-    (d + beta, d, value) with a Fraction built for every beta."""
-    n, q = r - 1, p**e
-    hi = Fraction(r, q)
-    digits = [(n // p ** (e - 1 - i)) % p for i in range(e)]
-    first: dict[Fraction, tuple[int, int]] = {}  # value -> (d + beta, d)
-    for beta in range(1, e + 1):
-        tail = n % p**beta
-        if not 0 < tail < p**beta - 1:
-            continue
-        d = max((i - beta + 1 for i in range(beta, e) if digits[i] != digits[i - beta]), default=0)
-        value = Fraction(n * (p**beta - 1) + tail, q * (p**beta - 1))
-        if value not in first or d < first[value][1]:
-            first[value] = (d + beta, d)
-    return [hi] + sorted(first, key=lambda v: (*first[v], v))

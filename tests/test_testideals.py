@@ -371,6 +371,25 @@ class TestEnumerateJumps:
         assert deeper.complete
         assert deeper.coefficients() == [Fraction(1, 3), Fraction(2, 3), Fraction(1)]
 
+    def test_unresolved_past_offgrid_bound_holds_a_drop(self):
+        # an interval cut at a bound off the p-adic grid is reported only when
+        # tau drops inside what is left of it: x^5+y^7 at p = 2 has tau = <x, y>
+        # on all of (1/4, 9/20], so nothing past 1/4 is unresolved there
+        ctx = RingContext(2, ("x", "y"))
+        cases = [(poly(ctx, "x^5+y^7"), Fraction(9, 20), 4)]
+        rng = random.Random(613)
+        while len(cases) < 30:
+            ctx = RingContext(rng.choice((2, 3, 5, 7)), ("x", "y", "z")[: rng.randint(2, 3)])
+            f = random_poly(rng, ctx, max_terms=4, max_exp=4)
+            bound = Fraction(rng.randint(1, 60), rng.randint(3, 30))
+            on_grid = any(ctx.p**k == bound.denominator for k in range(5))
+            if not (f.is_constant() or on_grid):
+                cases.append((f, bound, rng.randint(1, 4)))
+        for f, bound, depth in cases:
+            for lo, hi in enumerate_jumps(f, bound, depth).unresolved:
+                assert hi <= bound
+                assert tau(f, lo) != tau(f, hi), (f, bound, depth, lo, hi)
+
     def test_depth_four_leaves_three_intervals(self):
         ctx = RingContext(2, ("x", "y"))
         report = enumerate_jumps(poly(ctx, "x^5+y^7"), Fraction(1), depth=4)
@@ -629,44 +648,45 @@ class TestScan:
 class TestIntervalCandidates:
     @pytest.mark.parametrize("p, e_max", [(2, 6), (3, 4), (5, 4)])
     def test_brute_force_oracle(self, p, e_max):
-        # every a/(p^d (p^beta - 1)) strictly inside ((r-1)/p^e, r/p^e] with
-        # d + beta <= e, found by brute force over a, ranked by its least
-        # (d + beta, d) and then by value; the right endpoint comes first
+        # the right endpoint first, then every a/(p^d (p^beta - 1)) strictly
+        # inside ((r-1)/p^e, r/p^e] with d + beta <= e, found by brute force
+        # over a, each once and in any order
         for e in range(1, e_max + 1):
             q = p**e
             for r in range(1, 2 * q + 1):
                 lo, hi = Fraction(r - 1, q), Fraction(r, q)
-                least = {}
+                inside = set()
                 for total in range(1, e + 1):
                     for d in range(total):
                         den = p**d * (p ** (total - d) - 1)
                         for a in range(math.floor(lo * den) + 1, math.ceil(hi * den)):
-                            least.setdefault(Fraction(a, den), (total, d))
-                expected = sorted(least, key=lambda v: (*least[v], v))
+                            inside.add(Fraction(a, den))
                 got = testideals._interval_candidates(p, e, r)
-                assert got == [hi] + expected, (p, e, r)
+                assert got[0] == hi and len(set(got)) == len(got), (p, e, r)
+                assert set(got[1:]) == inside, (p, e, r)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-    def test_matches_fraction_ranking(self, p):
-        # the list and its order against the ranking by Fraction values: every
-        # r for p^e <= 4096; above that, up to e = 7, the ends, uniform draws
-        # and draws whose digits repeat a short block after a random prefix
-        rng = random.Random(227 + p)
-        for e in range(1, 8):
-            q = p**e
-            if q <= 4096:
-                rs = range(1, q + 1)
-            else:
-                rs = [1, 2, q - 1, q] + [rng.randint(1, q) for _ in range(60)]
-                for _ in range(60):
-                    block = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
-                    digits = (block * e)[:e]
-                    for i in range(rng.randint(0, e - 1)):
-                        digits[i] = rng.randrange(p)
-                    rs.append(1 + sum(x * p**i for i, x in enumerate(reversed(digits))))
-            for r in rs:
-                got = testideals._interval_candidates(p, e, r)
-                assert got == oracles.interval_candidates(p, e, r), (p, e, r)
+    def test_order_changes_no_report(self, monkeypatch):
+        # at most one candidate reproduces an interval's end values, so the
+        # reversed list gives the same jumps, witnesses and unresolved intervals
+        def report(f, depth):
+            r = enumerate_jumps(f, Fraction(1), depth)
+            jumps = [(j.c, j.tau_left.groebner_basis(), j.tau_at.groebner_basis()) for j in r.jumps]
+            return jumps, r.unresolved
+
+        ctx2, ctx7, ctx11 = (RingContext(p, ("x", "y")) for p in (2, 7, 11))
+        cases = [(poly(ctx2, "x^5+y^7"), depth) for depth in range(1, 8)]
+        cases += [(poly(ctx11, "x^3+y^5"), 4), (poly(ctx7, "x^4y+y^4+x^3"), 4)]
+        rng = random.Random(907)
+        while len(cases) < 24:
+            ctx = RingContext(rng.choice((2, 3, 5, 7)), ("x", "y", "z")[: rng.randint(2, 3)])
+            f = random_poly(rng, ctx, max_terms=4, max_exp=4)
+            if not f.is_constant():
+                cases.append((f, rng.randint(1, 5)))
+        expected = [report(f, depth) for f, depth in cases]
+        real = testideals._interval_candidates
+        monkeypatch.setattr(testideals, "_interval_candidates", lambda p, e, r: real(p, e, r)[::-1])
+        for (f, depth), want in zip(cases, expected):
+            assert report(f, depth) == want, (f, depth)
 
 
 class TestScalingLaw:
