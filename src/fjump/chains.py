@@ -20,7 +20,7 @@ from .digits import MAX_ORBIT_SIZE
 from .frobenius import frobenius_root_poly  # noqa: F401 - perfbench/tracer.py wraps this binding
 from .ideals import BudgetExceededError, Ideal
 from .ring import Polynomial
-from .testideals import _as_fraction, _contains, _phi_fixed_point, enumerate_jumps, tau
+from .testideals import _as_fraction, _contains, _phi_fixed_point, _table, enumerate_jumps, tau
 
 BIJECTION_BETA_MAX = 12
 
@@ -62,14 +62,15 @@ def chain(g: Polynomial, a: int, beta: int) -> ChainTrace:
         raise ValueError("need a >= 0 and beta >= 1")
     if beta > MAX_ORBIT_SIZE:
         raise ValueError(f"need beta <= {MAX_ORBIT_SIZE}, got {beta}")
-    trace = _phi_fixed_point(g, a, beta, Ideal.unit(g.ctx))
+    table = _table(g)
+    trace = _phi_fixed_point(table, a, beta, Ideal.unit(g.ctx))
     terms = trace[1:]  # drop the seed <1>; terms[s-1] = C_s
     if len(terms) == 1:
         # the first term already equals the seed; record C_2 = C_1 so the
         # trace ends with the repeated pair like every other trace
         terms.append(terms[0])
     for s in range(1, len(terms)):
-        if not _contains(g, terms[s - 1], terms[s]):
+        if not _contains(table, terms[s - 1], terms[s]):
             raise AssertionError(f"chain failed to descend at step {s + 1}; this is a bug")
     return ChainTrace(g, a, beta, terms)
 
@@ -105,12 +106,12 @@ def nil_compare(n1: ChainTrace, n2: ChainTrace) -> NilComparison:
     if n1.g != n2.g:
         raise ValueError("classes belong to different polynomials")
     gamma_order = "<" if n1.gamma < n2.gamma else (">" if n1.gamma > n2.gamma else "=")
-    r1, r2 = n1.stable, n2.stable
+    r1, r2, table = n1.stable, n2.stable, _table(n1.g)
     if r1 == r2:
         representative_order = "="
-    elif _contains(n1.g, r1, r2):
+    elif _contains(table, r1, r2):
         representative_order = ">"
-    elif _contains(n1.g, r2, r1):
+    elif _contains(table, r2, r1):
         representative_order = "<"
     else:
         raise TotalOrderViolation(

@@ -40,7 +40,6 @@ alone in its class, with outer monomial 1.
 
 from __future__ import annotations
 
-import math
 from operator import add
 
 from . import ring
@@ -100,18 +99,20 @@ def _splits(head: list[Monomial], mono: Monomial, r: int):
 def root_monomials(us: list[Monomial], d: int, p: int, ws) -> set[Monomial]:
     """Outer monomials whose minimal ones generate I_1(f^d * <x^w : w in ws>)
     for f with exponents ``us`` whose differences are independent mod p and
-    d < p (any d for one term), from exponents; past the term budget, refused."""
+    d < p (any d for one term), from exponents; refused once the splits
+    visited pass the term budget, before any gives the constant one."""
     *head, u, v = us if len(us) > 1 else us * 2
-    splits = math.comb(d + len(head), len(head)) * len(ws)
-    if splits > ring.EXPANSION_TERM_BUDGET:
-        raise BudgetExceededError(
-            f"expanding f^{d} term by term: {splits} terms exceed {ring.EXPANSION_TERM_BUDGET}"
-        )
     s = [a - b for a, b in zip(u, v)]
     zero = (0,) * len(u)
     outers: set[Monomial] = set()
+    budget = ring.EXPANSION_TERM_BUDGET
     for w in ws:
         for mono, r in _splits(head, w, d):
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceededError(
+                    f"expanding f^{d} term by term: more than {ring.EXPANSION_TERM_BUDGET} terms"
+                )
             base = [m + r * b for m, b in zip(mono, v)]
             last = {r}
             for b, k in zip(base, s):

@@ -52,9 +52,9 @@ per digit, as a Phi trace asked for again does, and equal ideals in a
 block are one object. The table also keeps what the walks found, each
 found once per block: the state of tau(f^c) or of its left limit at each
 c asked for, and whether one state contains another, which
-``enumerate_jumps``, ``is_jumping``, ``chain`` and ``nil_compare`` ask. A
-tau or left-limit query opens a block of its own when none is open, as
-the Phi iterates of one query repeat their digit steps.
+``enumerate_jumps``, ``is_jumping``, ``chain`` and ``nil_compare`` ask.
+Outside a block, one call walks one table, built for it and dropped when
+it returns: the Phi iterates of one query still share their digit steps.
 """
 
 from __future__ import annotations
@@ -111,9 +111,10 @@ class _DigitTable:
     from exponents.
     """
 
-    __slots__ = ("states", "index", "delta", "shifts", "carry", "values", "below", "free", "_seed")
+    __slots__ = ("f", "states", "index", "delta", "shifts", "carry", "values", "below", "free", "_seed")
 
     def __init__(self, f: Polynomial):
+        self.f = f
         self.states: list[Ideal] = []
         self.index: dict[Ideal, int] = {}
         self.delta: list[dict[int, int]] = []
@@ -136,9 +137,10 @@ class _DigitTable:
             self.delta.append({})
         return i
 
-    def seed(self, f: Polynomial) -> Ideal:
+    def seed(self) -> Ideal:
         """<f>, its generator made monic, interned once as the shift f * <1>."""
         if self._seed is None:
+            f = self.f
             unit, j = self.state(Ideal.unit(f.ctx)), self.state(Ideal(f.ctx, (f,)))
             if j != unit:  # a constant f has <f> = <1>
                 self.carry[j] = (1, unit)
@@ -147,18 +149,15 @@ class _DigitTable:
 
 
 def _table(f: Polynomial) -> _DigitTable:
-    """f's table in the open ``shared_roots()`` block, or one for a single walk."""
+    """f's table in the open ``shared_roots()`` block, or a new one for a single call."""
     tables = _step_memo.get()
     if tables is None:
         return _DigitTable(f)
     return tables.get(f) or tables.setdefault(f, _DigitTable(f))
 
 
-def _contains(f: Polynomial, I: Ideal, J: Ideal) -> bool:
-    """Whether I contains J; in a block, f's table checks each pair once."""
-    if I is J or _step_memo.get() is None:
-        return I.contains(J)
-    table = _table(f)
+def _contains(table: _DigitTable, I: Ideal, J: Ideal) -> bool:
+    """Whether I contains J, checked once per pair of the table's states."""
     key = table.state(I), table.state(J)
     known = table.below.get(key)
     if known is None:
@@ -166,37 +165,37 @@ def _contains(f: Polynomial, I: Ideal, J: Ideal) -> bool:
     return known
 
 
-def _shift(table: _DigitTable, f: Polynomial, n: int, i: int) -> int:
+def _shift(table: _DigitTable, n: int, i: int) -> int:
     """The state of f^n * states[i], carried from what states[i] is a shift of."""
     j = table.shifts.get((n, i))
     if j is None:
-        j = table.shifts[n, i] = table.state(table.states[i].scale(f**n))
+        j = table.shifts[n, i] = table.state(table.states[i].scale(table.f**n))
         m, k = table.carry.get(i, (0, i))
         if j != k:  # a constant f or the zero ideal shifts a state onto itself
             table.carry.setdefault(j, (n + m, k))
     return j
 
 
-def _step(table: _DigitTable, f: Polynomial, d: int, i: int) -> int:
+def _step(table: _DigitTable, d: int, i: int) -> int:
     """The state of I_1(f^d * states[i]); a carried f^n * K takes K's step."""
     j = table.delta[i].get(d)
     if j is None:
         carried = table.carry.get(i)
         if carried is None:
-            j = table.state(frobenius_root_ideal(table.states[i], 1, f, d, table.free))
+            j = table.state(frobenius_root_ideal(table.states[i], 1, table.f, d, table.free))
         else:
             n, k = carried
-            q, r = divmod(d + n, f.ctx.p)
-            j = _step(table, f, r, k)
+            q, r = divmod(d + n, table.f.ctx.p)
+            j = _step(table, r, k)
             if q:
-                j = _shift(table, f, q, j)
+                j = _shift(table, q, j)
         table.delta[i][d] = j
     return j
 
 
-def _walk(table: _DigitTable, f: Polynomial, n: int, e: int, i: int) -> int:
+def _walk(table: _DigitTable, n: int, e: int, i: int) -> int:
     """The state of I_e(f^n * states[i]); never expands f^n for n >= p^e."""
-    p = f.ctx.p
+    p = table.f.ctx.p
     delta = table.delta
     while e:
         # digits come off a word of at most 64 of them: dividing all of n
@@ -208,20 +207,20 @@ def _walk(table: _DigitTable, f: Polynomial, n: int, e: int, i: int) -> int:
             word, d = divmod(word, p)
             j = delta[i].get(d)
             if j is None:
-                j = _step(table, f, d, i)
+                j = _step(table, d, i)
             # with only 0 digits left each step is J -> I_1(J), which contains J
             # (each element lies in the ideal of its Frobenius parts): J grows
             # until the first step that returns it, and stays from then on
             if j == i and not (d or word or n):
                 return i
             i = j
-    return _shift(table, f, n, i) if n else i
+    return _shift(table, n, i) if n else i
 
 
 def _root_scaled(f: Polynomial, n: int, e: int, J: Ideal) -> Ideal:
     """I_e(f^n * J) by the digit recursion, in f's table."""
     table = _table(f)
-    return table.states[_walk(table, f, n, e, table.state(J))]
+    return table.states[_walk(table, n, e, table.state(J))]
 
 
 def tau_dyadic(f: Polynomial, r: int, e: int) -> Ideal:
@@ -240,8 +239,8 @@ def phi_step(f: Polynomial, a: int, beta: int, J: Ideal) -> Ideal:
     return _root_scaled(f, a, beta, J)
 
 
-def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ideal]:
-    """Iterate Phi from ``start`` until two consecutive values agree.
+def _phi_fixed_point(table: _DigitTable, a: int, beta: int, start: Ideal) -> list[Ideal]:
+    """Iterate Phi(J) = I_beta(f^a * J) from ``start`` until two consecutive values agree.
 
     Returns the trace [start, Phi(start), ...] ending with the repeated
     value, walked on the state numbers of f's table, so a repeated trace
@@ -249,10 +248,9 @@ def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ide
     PHI_STEP_BUDGET steps (the chain is guaranteed to stabilize, so this
     signals a bug).
     """
-    table = _table(f)
     trace = [table.state(start)]
     for _ in range(PHI_STEP_BUDGET):
-        trace.append(_walk(table, f, a, beta, trace[-1]))
+        trace.append(_walk(table, a, beta, trace[-1]))
         if trace[-1] == trace[-2]:
             states = table.states
             return [states[k] for k in trace]
@@ -264,26 +262,19 @@ def _phi_fixed_point(f: Polynomial, a: int, beta: int, start: Ideal) -> list[Ide
 
 def _tau_split(f: Polynomial, c: Fraction, left: bool) -> Ideal:
     """tau(f^c) for c > 0, or its left limit, by the Skoda split p^d c = m + g."""
-    tables = _step_memo.get()
-    if tables is None:  # a block of the query's own
-        tables = {}
-    table = tables.get(f) or tables.setdefault(f, _DigitTable(f))
+    table = _table(f)
     key = c.numerator, c.denominator, left
     k = table.values.get(key)
     if k is None:
-        token = _step_memo.set(tables)
-        try:
-            cf = canonicalize(c, f.ctx.p)
-            q_minus = f.ctx.p**cf.beta - 1
-            # g = a/q_minus lies in (0, 1] for the left limit and in [0, 1) for
-            # tau, whose chain starts from <f^ceil(g)>
-            m = (cf.a - 1) // q_minus if left else cf.a // q_minus
-            a = cf.a - m * q_minus
-            seed = Ideal.unit(f.ctx) if left or not a else table.seed(f)
-            trace = _phi_fixed_point(f, a, cf.beta, seed)
-            k = table.values[key] = _walk(table, f, m, cf.d, table.state(trace[-1]))
-        finally:
-            _step_memo.reset(token)
+        cf = canonicalize(c, f.ctx.p)
+        q_minus = f.ctx.p**cf.beta - 1
+        # g = a/q_minus lies in (0, 1] for the left limit and in [0, 1) for
+        # tau, whose chain starts from <f^ceil(g)>
+        m = (cf.a - 1) // q_minus if left else cf.a // q_minus
+        a = cf.a - m * q_minus
+        seed = Ideal.unit(f.ctx) if left or not a else table.seed()
+        trace = _phi_fixed_point(table, a, cf.beta, seed)
+        k = table.values[key] = _walk(table, m, cf.d, table.state(trace[-1]))
     return table.states[k]
 
 
@@ -318,9 +309,9 @@ class Jump(namedtuple("Jump", "c tau_left tau_at")):
         return self.tau_left != self.tau_at
 
 
-def _check_witnesses(f: Polynomial, c: Fraction, left: Ideal, at: Ideal):
+def _check_witnesses(table: _DigitTable, c: Fraction, left: Ideal, at: Ideal):
     """Raise unless tau's left limit at c contains tau at c, as it must."""
-    if not _contains(f, left, at):
+    if not _contains(table, left, at):
         raise AssertionError(
             f"tau left limit fails to contain tau at c={c}; this is a bug"
         )
@@ -331,7 +322,7 @@ def is_jumping(f: Polynomial, c: Fraction) -> Jump:
     c = _as_fraction(c)
     left = tau_left_limit(f, c)
     at = tau(f, c)
-    _check_witnesses(f, c, left, at)
+    _check_witnesses(_table(f), c, left, at)
     return Jump(c, left, at)
 
 
@@ -384,24 +375,23 @@ def _interval_candidates(p: int, e: int, r: int) -> list[Fraction]:
     return list(dict.fromkeys([Fraction(r, q), *inside]))
 
 
-def _drops(f: Polynomial, e: int, lo: int, hi: int, t_lo: Ideal, t_hi: Ideal) -> list:
-    """Each r in (lo, hi] where I_e(f^r) drops, as (e, r, I_e(f^(r-1)), I_e(f^r)).
+def _drops(table: _DigitTable, e: int, lo: int, hi: int, i_lo: int, i_hi: int) -> list:
+    """Each r in (lo, hi] where I_e(f^r) drops, as (e, r, i, j) with i, j the
+    states of I_e(f^(r-1)) and I_e(f^r) in f's table.
 
-    r -> I_e(f^r) is monotone, so equal values t_lo, t_hi at the two ends of
+    r -> I_e(f^r) is monotone, so equal states i_lo, i_hi at the two ends of
     a range rule out a drop inside; any other range is halved at a root
-    taken at its midpoint. Values compare as states of f's table. A work
-    list, popped left half first, keeps r increasing and a range of any
-    width off the call stack.
+    taken at its midpoint. A work list, popped left half first, keeps r
+    increasing and a range of any width off the call stack.
     """
-    table = _table(f)
-    states = table.states
-    drops, work = [], [(lo, hi, table.state(t_lo), table.state(t_hi))]
+    f = table.f
+    drops, work = [], [(lo, hi, i_lo, i_hi)]
     while work:
         lo, hi, i_lo, i_hi = work.pop()
         if i_lo == i_hi:
             continue
         if hi - lo == 1:
-            drops.append((e, hi, states[i_lo], states[i_hi]))
+            drops.append((e, hi, i_lo, i_hi))
             continue
         mid = (lo + hi) // 2
         i_mid = table.state(tau_dyadic(f, mid, e))
@@ -424,7 +414,9 @@ def enumerate_jumps(
     Otherwise the interval's p children one level deeper are bisected from
     its end values, up to ``depth``, where what is left is returned as
     unresolved: cut to (lo, bound] when it passes the bound, and dropped
-    when tau at the bound still equals its left end value.
+    when tau at the bound still equals its left end value. Every range ends
+    at the first grid point of its level at or past the bound, so no
+    interval wholly past it is refined or confirmed.
     Reported jumps are always confirmed exactly.
     """
     _require_nonzero(f)
@@ -441,26 +433,28 @@ def enumerate_jumps(
     unresolved: list[tuple[Fraction, Fraction]] = []
     top = math.ceil(bound * p)
     with shared_roots():
-        queue = _drops(f, 1, 0, top, Ideal.unit(f.ctx), tau_dyadic(f, top, 1))
-
         table = _table(f)
+        queue = _drops(table, 1, 0, top, table.state(Ideal.unit(f.ctx)), table.state(tau_dyadic(f, top, 1)))
         while queue:
-            e, r, t_lo, t_hi = queue.pop(0)
-            ends = table.state(t_lo), table.state(t_hi)
+            e, r, i_lo, i_hi = queue.pop(0)
             for c in _interval_candidates(p, e, r):
                 left, at = _tau_split(f, c, left=True), _tau_split(f, c, left=False)
-                _check_witnesses(f, c, left, at)
-                # t_lo != t_hi, so a candidate that reproduces both ends is a jump
-                if (table.state(left), table.state(at)) == ends:
+                _check_witnesses(table, c, left, at)
+                # i_lo != i_hi, so a candidate that reproduces both ends is a jump
+                if table.state(left) == i_lo and table.state(at) == i_hi:
                     jumps.append(is_jumping(f, c))
                     break
             else:
                 if e < depth:
-                    queue.extend(_drops(f, e + 1, (r - 1) * p, r * p, t_lo, t_hi))
+                    # a child range cut at the bound takes its top value from one more root
+                    top = math.ceil(bound * p ** (e + 1))
+                    if top < r * p:
+                        i_hi = table.state(tau_dyadic(f, top, e + 1))
+                    queue.extend(_drops(table, e + 1, (r - 1) * p, min(top, r * p), i_lo, i_hi))
                     continue
                 lo, hi = Fraction(r - 1, p**e), Fraction(r, p**e)
                 # past an off-grid bound, (lo, bound] holds a jump only if tau drops by the bound
-                if hi <= bound or lo < bound and table.state(_tau_split(f, bound, left=False)) != ends[0]:
+                if hi <= bound or lo < bound and table.state(_tau_split(f, bound, left=False)) != i_lo:
                     unresolved.append((lo, min(hi, bound)))
 
     jumps = [j for j in jumps if j.c <= bound]

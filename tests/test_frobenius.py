@@ -197,12 +197,25 @@ class TestRootOfIdeal:
 
 class TestExponentSteps:
     def test_budget_refusal_is_immediate(self):
-        # about 2.1*10^9 splits of d = 65520 over x, y, z, 1: refused unbuilt
+        # about 2.1*10^9 splits of d = 65520 over x, y, z, 1, but the first
+        # one visited gives the constant outer monomial: <1>, with no refusal
         ctx = RingContext(65521, ("x", "y", "z"))
         start = time.perf_counter()
-        with pytest.raises(BudgetExceededError, match="expanding f"):
-            frobenius_root_ideal(Ideal.unit(ctx), 1, poly(ctx, "x+y+z+1"), 65520)
+        assert frobenius_root_ideal(Ideal.unit(ctx), 1, poly(ctx, "x+y+z+1"), 65520) == Ideal.unit(ctx)
         assert time.perf_counter() - start < 1
+
+    def test_budget_counts_splits_as_visited(self, monkeypatch):
+        # C(6 + 2, 2) = 28 splits of d = 6 before the last two terms, far
+        # past a budget of one: the root of f^6 is <1> at its first split,
+        # and that of f^6 * x^7, which has no constant outer monomial, is
+        # refused
+        ctx = RingContext(7, ("x", "y", "z"))
+        f = poly(ctx, "x+y+z+1")
+        assert frobenius_root_poly(f**6, 1) == Ideal.unit(ctx)
+        monkeypatch.setattr(ring, "EXPANSION_TERM_BUDGET", 1)
+        assert frobenius_root_ideal(Ideal.unit(ctx), 1, f, 6) == Ideal.unit(ctx)
+        with pytest.raises(BudgetExceededError, match="expanding f"):
+            frobenius_root_ideal(ideal(ctx, "x^7"), 1, f, 6)
 
     def test_budget_counts_splits_times_generators(self, monkeypatch):
         # C(6 + 2, 2) = 28 splits of d = 6 before the last two terms, for each

@@ -390,6 +390,41 @@ class TestEnumerateJumps:
                 assert hi <= bound
                 assert tau(f, lo) != tau(f, hi), (f, bound, depth, lo, hi)
 
+    def test_offgrid_bound_confirms_nothing_past_it(self, monkeypatch):
+        # every range ends at the first grid point at or past the bound, so at
+        # 9/20 the jumps 31/64 and 1/2 of x^5+y^7 at p = 2 are never confirmed
+        calls = []
+        real = testideals.is_jumping
+
+        def counted(f, c):
+            calls.append(c)
+            return real(f, c)
+
+        monkeypatch.setattr(testideals, "is_jumping", counted)
+        f = poly(RingContext(2, ("x", "y")), "x^5+y^7")
+        report = enumerate_jumps(f, Fraction(9, 20), depth=7)
+        assert report.coefficients() == calls == [Fraction(1, 4)]
+        assert report.complete
+
+    def test_offgrid_bound_cuts_the_list_at_its_ceiling(self):
+        # the jumps up to an off-grid bound, with their witnesses, are those
+        # up to its ceiling that lie at or below it
+        def jumps(report, bound):
+            return [(j.c, j.tau_left.groebner_basis(), j.tau_at.groebner_basis()) for j in report.jumps if j.c <= bound]
+
+        rng = random.Random(619)
+        cases = 0
+        while cases < 24:
+            ctx = RingContext(rng.choice((2, 3, 5, 7)), ("x", "y", "z")[: rng.randint(2, 3)])
+            f = random_poly(rng, ctx, max_terms=4, max_exp=4)
+            bound = Fraction(rng.randint(1, 60), rng.randint(3, 30))
+            if f.is_constant() or any(ctx.p**k == bound.denominator for k in range(5)):
+                continue
+            cases += 1
+            depth = rng.randint(1, 4)
+            full = enumerate_jumps(f, math.ceil(bound), depth)
+            assert jumps(enumerate_jumps(f, bound, depth), bound) == jumps(full, bound), (f, bound, depth)
+
     def test_depth_four_leaves_three_intervals(self):
         ctx = RingContext(2, ("x", "y"))
         report = enumerate_jumps(poly(ctx, "x^5+y^7"), Fraction(1), depth=4)
@@ -597,17 +632,18 @@ class TestScan:
         ctx = RingContext(p, ("x", "y"))
         f = poly(ctx, text)
         top = math.ceil(bound * p**e)
-        values = [tau_dyadic(f, r, e) for r in range(top + 1)]
+        table = testideals._DigitTable(f)
+        values = [table.state(tau_dyadic(f, r, e)) for r in range(top + 1)]
         linear = [
             (e, r, values[r - 1], values[r])
             for r in range(1, top + 1)
             if values[r - 1] != values[r]
         ]
         assert linear
-        assert testideals._drops(f, e, 0, top, values[0], values[top]) == linear
+        assert testideals._drops(table, e, 0, top, values[0], values[top]) == linear
         lo = top // 3
         inner = [d for d in linear if d[1] > lo]
-        assert testideals._drops(f, e, lo, top, values[lo], values[top]) == inner
+        assert testideals._drops(table, e, lo, top, values[lo], values[top]) == inner
 
     def test_wide_range_without_recursion(self, ctx2, monkeypatch):
         # one drop, at r = step, somewhere in (0, 2^3000]
@@ -621,8 +657,10 @@ class TestScan:
             return unit if r < step else m
 
         monkeypatch.setattr(testideals, "tau_dyadic", one_step)
-        drops = testideals._drops(f, 1, 0, 2**3000, unit, m)
-        assert drops == [(1, step, unit, m)]
+        table = testideals._DigitTable(f)
+        i_unit, i_m = table.state(unit), table.state(m)
+        drops = testideals._drops(table, 1, 0, 2**3000, i_unit, i_m)
+        assert drops == [(1, step, i_unit, i_m)]
         assert len(calls) == 3000
 
     def test_cusp_scan_roots_are_logarithmic(self, monkeypatch):
@@ -815,7 +853,7 @@ class TestBinomialStep:
                 expected = real(J, 1, f**d)
                 general.clear()
                 splits.clear()
-                assert table.states[testideals._step(table, f, d, i)] == expected, (f, d, J)
+                assert table.states[testideals._step(table, d, i)] == expected, (f, d, J)
                 assert len(general) == 1
                 # d = 0 is read off the exponents; every other d splits f^d * J.
                 # u = v mod p with u != v gives f degree >= p in some variable,
@@ -851,22 +889,22 @@ class TestCarriedSteps:
             for K, n in cases:
                 table = testideals._DigitTable(f)
                 k = table.state(K)
-                j = testideals._shift(table, f, n, k)
+                j = testideals._shift(table, n, k)
                 assert table.carry[j] == (n, k)
                 for d in range(p):
-                    step = table.states[testideals._step(table, f, d, j)]
+                    step = table.states[testideals._step(table, d, j)]
                     assert step == frobenius_root_ideal(table.states[j], 1, f**d), (f, n, d, K)
                 # a shift of a shift is recorded flat, against K
                 m = rng.randint(1, p)
-                assert table.carry[testideals._shift(table, f, m, j)] == (n + m, k)
+                assert table.carry[testideals._shift(table, m, j)] == (n + m, k)
 
     def test_seed_is_carried_from_the_unit_state(self, ctx5):
         f = poly(ctx5, "x^2+y^3")
         table = testideals._DigitTable(f)
-        seed = table.state(table.seed(f))
+        seed = table.state(table.seed())
         assert table.carry[seed] == (1, table.state(Ideal.unit(ctx5)))
         # at d = p - 1 the step is <f> itself: I_1(f^p) = f * I_1(<1>)
-        assert testideals._step(table, f, 4, seed) == seed
+        assert testideals._step(table, 4, seed) == seed
 
     @pytest.mark.parametrize("text", ["3", "1"])
     def test_constant_f_is_never_its_own_shift(self, ctx5, text):
@@ -975,6 +1013,55 @@ class TestSharedRoots:
             assert len(testideals._step_memo.get()) == 1
         assert all(a is b for a, b in zip(first, again))
         assert testideals._step_memo.get() is None
+
+    def test_only_shared_roots_opens_a_block(self, ctx3, monkeypatch):
+        # outside a block each call walks a table of its own, and none opens
+        # a block for itself
+        class Recording:
+            def __init__(self, var):
+                self.var, self.sets = var, []
+
+            def get(self):
+                return self.var.get()
+
+            def set(self, value):
+                self.sets.append(value)
+                return self.var.set(value)
+
+            def reset(self, token):
+                self.var.reset(token)
+
+        memo = Recording(testideals._step_memo)
+        monkeypatch.setattr(testideals, "_step_memo", memo)
+        f = poly(ctx3, "x^2+y^3")
+        for c in (Fraction(5, 6), Fraction(2, 3), Fraction(7, 4)):
+            tau(f, c), tau_left_limit(f, c), is_jumping(f, c)
+        chains.chain(f, 5, 2)
+        assert memo.sets == []
+        with testideals.shared_roots():
+            tau(f, Fraction(5, 6))
+        assert len(memo.sets) == 1
+
+    def test_query_outside_a_block_takes_the_roots_of_a_fresh_block(self, monkeypatch):
+        calls = []
+        real = testideals.frobenius_root_ideal
+
+        def counted(I, e, h=None, d=1, free=None):
+            calls.append((I.generators, e, d))
+            return real(I, e, h, d, free)
+
+        monkeypatch.setattr(testideals, "frobenius_root_ideal", counted)
+        for p, text in ((3, "x^2+y^3"), (5, "x^4+x^2*y^2+y^4"), (7, "x^2*y+y^3+x*y")):
+            f = poly(RingContext(p, ("x", "y")), text)
+            for c in (Fraction(1, 2), Fraction(5, 6), Fraction(19, 24), Fraction(7, 4)):
+                for fn in (tau, tau_left_limit):
+                    calls.clear()
+                    alone = fn(f, c)
+                    outside = list(calls)
+                    calls.clear()
+                    with testideals.shared_roots():
+                        assert fn(f, c) == alone
+                    assert calls == outside and calls, (f, c, fn)
 
     def test_nested_block_reuses_the_memo(self):
         assert testideals._step_memo.get() is None
